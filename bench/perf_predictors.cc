@@ -285,7 +285,8 @@ runReplay(benchmark::State &state, const char *spec, bool batched,
         if (batched) {
             // Same block granularity as the streaming replay path
             // (vm::ReaderBatchSource's default).
-            sim::replayTraceBatched(events, bank, 4096);
+            vm::VectorBatchSource source(events, 4096);
+            sim::replayTrace(source, bank);
         } else {
             sim::replayTrace(events, bank);
         }

@@ -11,9 +11,8 @@
  * single-bank replay of the same trace (exit 1 on any mismatch).
  *
  * Reports predictions/sec and per-frame RTT percentiles (p50/p99/p999)
- * per engine x client-count cell, in the same JSON artifact shape as
- * BENCH_campaign.json (context block with date, scale and
- * hardware_concurrency, then rows). The committed repo-root
+ * per engine x client-count cell as JSON (a context block with date,
+ * scale and hardware_concurrency, then rows). The committed repo-root
  * BENCH_vpd.json is a snapshot of this program's output.
  *
  * Usage: vpd_loadgen [--scale N] [--clients LIST] [--batch N]

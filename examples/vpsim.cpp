@@ -196,8 +196,7 @@ cmdRecord(const std::string &workload, const std::string &path,
         std::fprintf(stderr, "cannot open %s\n", path.c_str());
         return 1;
     }
-    // VPT2: blocked, deflated, seekable. `analyze` auto-detects, so
-    // old VPT1 recordings stay readable.
+    // VPT2: blocked and deflated; `analyze` streams it back.
     vm::Vpt2Writer writer(out);
     vm::Machine machine;
     machine.setSink(&writer);
@@ -228,7 +227,9 @@ cmdAnalyze(const std::string &path, const Options &options)
     sim::PredictorBank bank;
     for (const auto &spec : options.predictors)
         bank.add(exp::makePredictor(spec));
-    const auto n = reader->replay(bank);
+    vm::ReaderBatchSource source(*reader);
+    const auto n = sim::replayTrace(source, bank);
+    reader->expectEnd();
     std::printf("%s:\n", path.c_str());
     printReport(bank, 0, n, options.byCategory);
     return 0;

@@ -56,10 +56,6 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     else
         echo "    perf_predictors not built (no google-benchmark); skipped"
     fi
-    echo "==> perf smoke (trace campaign: VPT2 sizes + region replay)"
-    ./build/bench/trace_campaign_bench --out build/BENCH_campaign.json
-    echo "    wrote build/BENCH_campaign.json"
-
     # vpd server loadgen: the seven workload traces replayed as
     # concurrent loopback clients through both connection engines,
     # with the per-tenant byte-identity check against serial replay

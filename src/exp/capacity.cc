@@ -1,5 +1,7 @@
 #include "exp/capacity.hh"
 
+#include "exp/experiment.hh"
+
 namespace vp::exp {
 
 const std::vector<std::string> &
@@ -85,8 +87,12 @@ capacitySweepOptions(SuiteOptions base_options)
 CapacitySweep
 runCapacitySweep(const SuiteOptions &base_options)
 {
+    // One cell per workload on the shared worker pool.
+    ExperimentConfig config;
+    config.traceCacheDir = base_options.traceCacheDir;
+    CellScheduler scheduler(config);
     CapacitySweep sweep;
-    sweep.runs = runSuite(capacitySweepOptions(base_options));
+    sweep.runs = scheduler.suite(capacitySweepOptions(base_options));
     return sweep;
 }
 

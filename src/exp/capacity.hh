@@ -70,12 +70,13 @@ struct CapacitySweep
     static size_t unboundedIndex(size_t family_index);
 };
 
-/** The suite options the sweep feeds to runSuite: every spec from
+/** The suite options of every sweep cell: every spec from
  *  capacitySweepSpecs() banked, trackers off. Shared between
  *  runCapacitySweep and the registry's cell-scheduled experiments. */
 SuiteOptions capacitySweepOptions(SuiteOptions base_options);
 
-/** Run the whole sweep (one pass per workload, all specs banked). */
+/** Run the whole sweep (one pass per workload, all specs banked),
+ *  one CellScheduler cell per workload. */
 CapacitySweep runCapacitySweep(const SuiteOptions &base_options);
 
 } // namespace vp::exp

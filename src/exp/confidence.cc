@@ -1,5 +1,7 @@
 #include "exp/confidence.hh"
 
+#include "exp/experiment.hh"
+
 namespace vp::exp {
 
 const std::vector<std::string> &
@@ -87,8 +89,12 @@ confidenceSweepOptions(SuiteOptions base_options)
 ConfidenceSweep
 runConfidenceSweep(const SuiteOptions &base_options)
 {
+    // One cell per workload on the shared worker pool.
+    ExperimentConfig config;
+    config.traceCacheDir = base_options.traceCacheDir;
+    CellScheduler scheduler(config);
     ConfidenceSweep sweep;
-    sweep.runs = runSuite(confidenceSweepOptions(base_options));
+    sweep.runs = scheduler.suite(confidenceSweepOptions(base_options));
     return sweep;
 }
 

@@ -66,12 +66,13 @@ struct ConfidenceSweep
     static size_t ungatedIndex(size_t family_index);
 };
 
-/** The suite options the sweep feeds to runSuite: every spec from
+/** The suite options of every sweep cell: every spec from
  *  confidenceSweepSpecs() banked, trackers off. Shared between
  *  runConfidenceSweep and the registry's cell-scheduled experiments. */
 SuiteOptions confidenceSweepOptions(SuiteOptions base_options);
 
-/** Run the whole sweep (one pass per workload, all specs banked). */
+/** Run the whole sweep (one pass per workload, all specs banked),
+ *  one CellScheduler cell per workload. */
 ConfidenceSweep runConfidenceSweep(const SuiteOptions &base_options);
 
 /** Mean coverage / accuracy-when-predicted / profit over the runs

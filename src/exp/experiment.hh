@@ -11,8 +11,7 @@
  * the 22 per-figure bench binaries; adding a new study is ~20 lines
  * in src/exp/experiments/.
  *
- * Scheduling is per *cell* — one (workload, predictor-bank) run —
- * generalising the per-workload std::async pool in suite.cc:
+ * Scheduling is per *cell* — one (workload, predictor-bank) run:
  *
  *  - identical cells requested by different experiments are
  *    deduplicated (figures 3-7 all bank {l, s2, fcm1-3}; tables 2/4/5
@@ -24,9 +23,9 @@
  *    every selected experiment at once, so a multi-experiment run is
  *    never slower than running the legacy binaries serially.
  *
- * Results are byte-identical to a serial run regardless of the worker
- * count: cells are independent (fresh predictor bank per cell, the
- * invariant inherited from runSuite) and collected in request order.
+ * Results are byte-identical to a serial runSuite regardless of the
+ * worker count: cells are independent (fresh predictor bank per cell)
+ * and collected in request order.
  */
 
 #ifndef VP_EXP_EXPERIMENT_HH
@@ -64,30 +63,17 @@ struct ExperimentConfig
     std::string traceCacheDir;
 
     /**
-     * Split every cell's trace into this many regions replayed as
-     * separate tasks on the worker pool, merging per-region stats
-     * (`vpexp --regions`). Cells with trackers enabled fall back to a
-     * single whole-trace task. 1 = today's serial replay,
-     * byte-identical results.
-     */
-    unsigned regions = 1;
-
-    /** Warm-up window per region (`vpexp --warmup`). */
-    uint64_t warmupEvents = defaultWarmupEvents;
-
-    /**
      * Windowed replay telemetry for every cell (`vpexp --window`):
      * close a statistics window every this many events (0 = off).
      * Part of a cell's identity — the series changes what a cell
-     * computes — and it forces whole-trace serial replay (see
-     * SuiteOptions::windowEvents).
+     * computes (see SuiteOptions::windowEvents).
      */
     uint64_t windowEvents = 0;
 
     /**
      * Run-wide timeline log (`vpexp --trace-json`); the scheduler
-     * hands it to every cell's instrumentation so cell, region,
-     * warm-up, trace-cache and report spans land on one timeline.
+     * hands it to every cell's instrumentation so cell, replay,
+     * trace-cache and report spans land on one timeline.
      * Owned by the driver, null = off. Not part of any cell's
      * identity.
      */
@@ -100,8 +86,8 @@ constexpr int dryRunScale = 5;
 /**
  * Canonicalise @p options for use as a cell: apply the dry-run scale,
  * force trace replay through @p config's cache, neutralise the fields
- * a cell run ignores (parallelism, disabled improvement pairs) so
- * equal work always yields equal dedup keys.
+ * a cell run ignores (disabled improvement pairs, the caller's
+ * instrumentation) so equal work always yields equal dedup keys.
  */
 SuiteOptions normalizeCellOptions(SuiteOptions options,
                                   const ExperimentConfig &config);
@@ -126,9 +112,9 @@ class CellScheduler
         double wallMs = 0.0;
 
         /**
-         * Queue wait: time between submit() and the first worker
-         * picking up one of the cell's tasks. wallMs starts at that
-         * pickup, so wallMs + queuedMs is the submit-to-done latency.
+         * Queue wait: time between submit() and a worker picking up
+         * the cell. wallMs starts at that pickup, so wallMs + queuedMs
+         * is the submit-to-done latency.
          */
         double queuedMs = 0.0;
         bool done = false;
@@ -137,9 +123,6 @@ class CellScheduler
          *  wallMs * 1e6 / events is the cell's ns-per-event. */
         uint64_t events = 0;
 
-        /** Regions the cell's replay was split into (1 = serial). */
-        unsigned regions = 1;
-
         /** (spec, stats) per predictor, bank order. */
         std::vector<std::pair<std::string, core::PredictionStats>>
                 predictors;
@@ -147,8 +130,7 @@ class CellScheduler
         /**
          * The cell's merged counters/gauges/histograms, snapshot
          * from its private registry after the cell finished (see
-         * obs/registry.hh for the merge rules). Region-split cells
-         * sum their per-region banks into one snapshot.
+         * obs/registry.hh for the merge rules).
          */
         obs::Snapshot counters;
 
@@ -159,10 +141,8 @@ class CellScheduler
     /** Scheduler-level completion counts, for live progress lines. */
     struct Progress
     {
-        size_t cellsDone = 0;
+        size_t cellsDone = 0;       ///< finished, failed ones included
         size_t cellsTotal = 0;      ///< unique cells submitted so far
-        size_t tasksDone = 0;       ///< worker tasks (regions count)
-        size_t tasksTotal = 0;
     };
 
     /** @p jobs worker threads; 0 = the hardware concurrency. */
@@ -202,7 +182,6 @@ class CellScheduler
     Progress progress() const;
 
   private:
-    struct RegionAssembly;
     struct CellObs;
 
     std::shared_future<BenchmarkRun> submit(const std::string &workload,
@@ -216,13 +195,9 @@ class CellScheduler
     mutable util::Mutex mutex_;
     util::CondVar available_;
     bool stop_ VP_GUARDED_BY(mutex_) = false;
-    /**
-     * Unit of worker execution. A serial cell is one task fulfilling
-     * its promise directly; a region-split cell enqueues one task per
-     * region and the last region to finish merges and fulfills — no
-     * task ever blocks on another task, so any worker count
-     * (including 1) drains the queue without deadlock.
-     */
+    /** One task per cell; it fulfills the cell's promise itself, so
+     *  no task ever blocks on another and any worker count drains the
+     *  queue. */
     std::deque<std::packaged_task<void()>> queue_ VP_GUARDED_BY(mutex_);
     std::map<std::string,
              std::pair<size_t, std::shared_future<BenchmarkRun>>>
@@ -230,8 +205,6 @@ class CellScheduler
     std::vector<CellRecord> records_ VP_GUARDED_BY(mutex_);
     size_t requested_ VP_GUARDED_BY(mutex_) = 0;
     size_t cellsDone_ VP_GUARDED_BY(mutex_) = 0;
-    size_t tasksDone_ VP_GUARDED_BY(mutex_) = 0;
-    size_t tasksTotal_ VP_GUARDED_BY(mutex_) = 0;
     std::vector<std::thread> threads_;      ///< ctor/dtor only
 };
 

@@ -1,14 +1,9 @@
 #include "exp/suite.hh"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <map>
 #include <stdexcept>
-#include <thread>
 
 #include <unistd.h>
 
@@ -96,7 +91,7 @@ traceCacheBase(const std::string &name, const SuiteOptions &options)
                   std::to_string(options.config.scale));
 }
 
-/** One mutex per cache entry so parallel suite workers record
+/** One mutex per cache entry so parallel scheduler cells record
  *  different workloads concurrently but never the same one twice.
  *  The table is append-only and node-based, so a returned reference
  *  stays valid while other entries are created. */
@@ -150,10 +145,6 @@ recordTrace(const isa::Program &prog, const fs::path &base)
                         "cannot write trace cache file: " +
                         vpt_tmp.string());
             }
-            // VPT2: blocked + deflated + seekable, which is what the
-            // region replay path needs; readers auto-detect, so a
-            // shared cache dir holding old VPT1 recordings still
-            // replays fine.
             vm::Vpt2Writer writer(out);
             vm::Machine machine;
             machine.setSink(&writer);
@@ -228,28 +219,15 @@ ensureTraceRecorded(const isa::Program &prog, const std::string &name,
     return base;
 }
 
-/** Open a cached trace with the cache path in any error message. */
-std::ifstream
-openCachedTrace(const fs::path &vpt)
-{
-    std::ifstream in(vpt, std::ios::binary);
-    if (!in) {
-        throw std::runtime_error("cannot open trace cache file: " +
-                                 vpt.string());
-    }
-    return in;
-}
-
-/** Pull a cursor's cumulative I/O work into the cell's registry. */
+/** Pull a reader's cumulative I/O work into the cell's registry. */
 void
-collectTraceIo(const vm::TraceCursor &cursor, obs::Instrumentation *obs)
+collectTraceIo(const vm::Vpt2Reader &reader, obs::Instrumentation *obs)
 {
-    const vm::TraceIoStats io = cursor.ioStats();
+    const vm::TraceIoStats io = reader.ioStats();
     obs::add(obs, "trace.io.blocks", io.blocksRead);
     obs::add(obs, "trace.io.raw_bytes", io.rawBytes);
     obs::add(obs, "trace.io.enc_bytes", io.encBytes);
     obs::add(obs, "trace.io.deflated_blocks", io.deflatedBlocks);
-    obs::add(obs, "trace.io.seeks", io.seeks);
 }
 
 /** Pull every bank member's internal counters into the registry. */
@@ -280,13 +258,17 @@ replayedOutcome(const isa::Program &prog, const std::string &name,
     const fs::path vpt = base.string() + ".vpt";
     obs::Instrumentation *obs = options.instrumentation;
 
-    std::ifstream in = openCachedTrace(vpt);
+    std::ifstream in(vpt, std::ios::binary);
+    if (!in) {
+        throw std::runtime_error("cannot open trace cache file: " +
+                                 vpt.string());
+    }
     try {
         // Stream the file through the batched hot path: bounded
         // memory (one block in flight) and one virtual dispatch per
         // (predictor, block) instead of two per event.
-        const auto cursor = vm::openTrace(in);
-        vm::ReaderBatchSource source(*cursor);
+        const auto reader = vm::openTrace(in);
+        vm::ReaderBatchSource source(*reader);
         auto span = obs::span(obs, "replay " + name, "replay");
         const uint64_t events =
                 sim::replayTrace(source, bank, obs, windows);
@@ -295,8 +277,8 @@ replayedOutcome(const isa::Program &prog, const std::string &name,
         // A cached trace with bytes beyond its promised event count
         // is corrupt (a partial overwrite, a concatenated file): the
         // stats above would silently describe a truncated stream.
-        cursor->expectEnd();
-        collectTraceIo(*cursor, obs);
+        reader->expectEnd();
+        collectTraceIo(*reader, obs);
     } catch (const vm::TraceFileError &error) {
         throw std::runtime_error("corrupt trace cache file " +
                                  vpt.string() + ": " + error.what());
@@ -312,134 +294,6 @@ replayedOutcome(const isa::Program &prog, const std::string &name,
 
 } // anonymous namespace
 
-std::vector<TraceRegion>
-planTraceRegions(uint64_t events, unsigned regions)
-{
-    if (regions == 0)
-        regions = 1;
-    std::vector<TraceRegion> plan(regions);
-    const uint64_t base = events / regions;
-    const uint64_t rem = events % regions;
-    uint64_t begin = 0;
-    for (unsigned r = 0; r < regions; ++r) {
-        const uint64_t size = base + (r < rem ? 1 : 0);
-        plan[r] = TraceRegion{begin, begin + size};
-        begin += size;
-    }
-    return plan;
-}
-
-bool
-regionReplayApplies(const SuiteOptions &options)
-{
-    // Windowed telemetry also forces the serial whole-trace path:
-    // windows are positions in the global event stream, which the
-    // per-region statistics merge does not preserve.
-    return options.traceReplay && options.regions > 1 &&
-           options.overlap == 0 &&
-           options.improvementA == options.improvementB &&
-           !options.values && options.windowEvents == 0;
-}
-
-RegionPartial
-runBenchmarkRegion(const std::string &name, const SuiteOptions &options,
-                   unsigned region)
-{
-    if (!options.traceReplay) {
-        throw std::invalid_argument(
-                "runBenchmarkRegion requires traceReplay");
-    }
-    if (region >= std::max(1u, options.regions))
-        throw std::invalid_argument("region index out of range");
-
-    const auto &info = workloads::findWorkload(name);
-    const auto prog = info.build(options.config);
-
-    vm::ExecStats stats;
-    const fs::path base =
-            ensureTraceRecorded(prog, name, options, stats);
-    const fs::path vpt = base.string() + ".vpt";
-
-    sim::PredictorBank bank;
-    for (const auto &spec : options.predictors)
-        bank.add(makePredictor(spec));
-
-    RegionPartial partial;
-    partial.region = region;
-    obs::Instrumentation *obs = options.instrumentation;
-    std::ifstream in = openCachedTrace(vpt);
-    try {
-        const auto cursor = vm::openTrace(in);
-        const auto plan = planTraceRegions(cursor->eventCount(),
-                                           options.regions);
-        const TraceRegion &r = plan.at(region);
-        if (r.begin < r.end) {
-            auto span = obs::span(obs,
-                                  "region " + name + " #" +
-                                          std::to_string(region),
-                                  "region");
-            vm::TraceRegionReader reader(*cursor, r.begin, r.end,
-                                         options.warmupEvents);
-            partial.events = sim::replayTraceRegion(reader, bank, obs);
-            span.arg("events", std::to_string(partial.events));
-        }
-        collectTraceIo(*cursor, obs);
-    } catch (const vm::TraceFileError &error) {
-        throw std::runtime_error("corrupt trace cache file " +
-                                 vpt.string() + ": " + error.what());
-    }
-    // Each region task trains its own fresh bank, so the per-cell
-    // registry accumulates the *sum* of the region banks' counters
-    // (same-name accumulation — the registry's documented semantics).
-    collectBankCounters(bank, obs);
-
-    partial.stats.reserve(bank.size());
-    for (size_t i = 0; i < bank.size(); ++i)
-        partial.stats.push_back(bank.member(i).stats);
-    return partial;
-}
-
-BenchmarkRun
-mergeRegionPartials(const std::string &name, const SuiteOptions &options,
-                    std::vector<RegionPartial> partials)
-{
-    const unsigned regions = std::max(1u, options.regions);
-    if (partials.size() != regions) {
-        throw std::invalid_argument(
-                "mergeRegionPartials: wrong partial count");
-    }
-    std::sort(partials.begin(), partials.end(),
-              [](const RegionPartial &a, const RegionPartial &b) {
-                  return a.region < b.region;
-              });
-    for (unsigned r = 0; r < regions; ++r) {
-        if (partials[r].region != r ||
-            partials[r].stats.size() != options.predictors.size()) {
-            throw std::invalid_argument(
-                    "mergeRegionPartials: inconsistent partials");
-        }
-    }
-
-    const auto &info = workloads::findWorkload(name);
-    const auto prog = info.build(options.config);
-
-    BenchmarkRun run;
-    run.name = name;
-    ensureTraceRecorded(prog, name, options, run.exec);
-    run.staticPredicted = prog.countPredictedStatic();
-    for (int c = 0; c < isa::numCategories; ++c) {
-        run.staticByCategory[c] =
-                prog.countPredictedStatic(static_cast<isa::Category>(c));
-    }
-    for (size_t i = 0; i < options.predictors.size(); ++i) {
-        core::PredictionStats merged;
-        for (const auto &partial : partials)
-            merged.merge(partial.stats[i]);
-        run.predictors.emplace_back(options.predictors[i], merged);
-    }
-    return run;
-}
-
 BenchmarkRun
 runBenchmark(const std::string &name, const SuiteOptions &options)
 {
@@ -447,17 +301,6 @@ runBenchmark(const std::string &name, const SuiteOptions &options)
         throw std::invalid_argument(
                 "windowed telemetry requires trace replay");
     }
-    if (regionReplayApplies(options)) {
-        // The region path replayed serially — this is the reference
-        // semantics the CellScheduler's parallel fan-out reproduces
-        // exactly (stats merge is associative over regions).
-        std::vector<RegionPartial> partials;
-        partials.reserve(options.regions);
-        for (unsigned r = 0; r < options.regions; ++r)
-            partials.push_back(runBenchmarkRegion(name, options, r));
-        return mergeRegionPartials(name, options, std::move(partials));
-    }
-
     const auto &info = workloads::findWorkload(name);
     const auto prog = info.build(options.config);
 
@@ -501,22 +344,6 @@ runBenchmark(const std::string &name, const SuiteOptions &options)
     return run;
 }
 
-namespace {
-
-size_t
-suiteWorkerCount(const SuiteOptions &options, size_t jobs)
-{
-    size_t workers = options.parallelism;
-    if (workers == 0) {
-        workers = std::thread::hardware_concurrency();
-        if (workers == 0)
-            workers = 1;
-    }
-    return std::min(workers, jobs);
-}
-
-} // anonymous namespace
-
 std::vector<BenchmarkRun>
 runSuite(const SuiteOptions &options)
 {
@@ -525,45 +352,10 @@ runSuite(const SuiteOptions &options)
         for (const auto &info : workloads::allWorkloads())
             names.push_back(info.name);
     }
-
-    std::vector<BenchmarkRun> runs(names.size());
-    const size_t workers = suiteWorkerCount(options, names.size());
-    if (workers <= 1) {
-        for (size_t i = 0; i < names.size(); ++i)
-            runs[i] = runBenchmark(names[i], options);
-        return runs;
-    }
-
-    // Every benchmark is independent (fresh PredictorBank + VM), so
-    // workers pull the next index and write their own slot: results
-    // land in request order with no synchronization on the data.
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::vector<std::exception_ptr> errors(names.size());
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1);
-             i < names.size() && !failed.load();
-             i = next.fetch_add(1)) {
-            try {
-                runs[i] = runBenchmark(names[i], options);
-            } catch (...) {
-                errors[i] = std::current_exception();
-                failed.store(true);     // fail fast, as in serial mode
-            }
-        }
-    };
-    std::vector<std::future<void>> pool;
-    pool.reserve(workers);
-    for (size_t t = 0; t < workers; ++t)
-        pool.push_back(std::async(std::launch::async, worker));
-    for (auto &f : pool)
-        f.get();
-    // Rethrow the first failure in request order so the error does
-    // not depend on thread scheduling.
-    for (const auto &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    std::vector<BenchmarkRun> runs;
+    runs.reserve(names.size());
+    for (const auto &name : names)
+        runs.push_back(runBenchmark(name, options));
     return runs;
 }
 

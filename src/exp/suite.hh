@@ -32,16 +32,6 @@ class Instrumentation;
 namespace vp::exp {
 
 /**
- * Default warm-up window for region-parallel replay: events replayed
- * (training tables, not counted) before a mid-trace region so the
- * region starts from trained state. 128k events is comfortably past
- * the point where every registry predictor's tables saturate — the
- * deepest (fcm3) needs ~100k before its drift vs a serial replay
- * falls under 0.1pp (region_replay_test pins the bound).
- */
-constexpr uint64_t defaultWarmupEvents = 131072;
-
-/**
  * Create a predictor from a spec string — a thin shim over the typed
  * PredictorSpec model: parseSpec(spec).build().
  *
@@ -82,20 +72,11 @@ struct SuiteOptions
     bool values = false;
 
     /**
-     * Worker threads for runSuite. 0 = auto (one per benchmark, up
-     * to the hardware concurrency); 1 = serial reference behavior.
-     * Each benchmark gets a fresh VM and predictor bank, so results
-     * are identical to a serial run and always returned in request
-     * (paper) order regardless of this setting.
-     */
-    unsigned parallelism = 0;
-
-    /**
      * Record-once / replay-many: on the first run of a workload
      * configuration, execute the VM once and record its value trace
-     * (vm::TraceWriter) plus an exec-stats sidecar to the cache
+     * (vm::Vpt2Writer) plus an exec-stats sidecar to the cache
      * directory; every run — including that first one — then feeds
-     * the predictor bank by replaying the file (vm::TraceReader), so
+     * the predictor bank by replaying the file (vm::Vpt2Reader), so
      * results are byte-identical to live execution (pinned by
      * suite_test) while repeated sweeps over the same workloads pay
      * for VM execution only once per process.
@@ -112,30 +93,11 @@ struct SuiteOptions
     std::string traceCacheDir;
 
     /**
-     * Split the recorded trace into this many regions and merge the
-     * per-region statistics (runBenchmark replays them serially; the
-     * CellScheduler fans them out over its worker pool). Requires
-     * traceReplay; falls back to a whole-trace replay when any
-     * tracker (overlap / improvement / values) is enabled, because
-     * trackers hold per-static state that does not merge. Region
-     * results drift from serial replay only by the finite warm-up
-     * window (≤0.1pp at the default; pinned by region_replay_test).
-     */
-    unsigned regions = 1;
-
-    /** Warm-up window per region (events before the region trained
-     *  into tables but excluded from statistics). */
-    uint64_t warmupEvents = defaultWarmupEvents;
-
-    /**
      * Windowed replay telemetry: close a statistics window every this
      * many events and record per-predictor coverage/accuracy deltas
-     * into BenchmarkRun::windows (0 = off). Requires traceReplay and
-     * forces a whole-trace serial replay (regionReplayApplies returns
-     * false): windows are positions in the global event stream, which
-     * region-parallel replay does not preserve. Never changes the
-     * per-event protocol — stats with windowing on are byte-identical
-     * to windowing off.
+     * into BenchmarkRun::windows (0 = off). Requires traceReplay.
+     * Never changes the per-event protocol — stats with windowing on
+     * are byte-identical to windowing off.
      */
     uint64_t windowEvents = 0;
 
@@ -178,58 +140,11 @@ struct BenchmarkRun
 BenchmarkRun runBenchmark(const std::string &name,
                           const SuiteOptions &options);
 
-/** One region of a trace split into W contiguous pieces. */
-struct TraceRegion
-{
-    uint64_t begin = 0;
-    uint64_t end = 0;       ///< exclusive
-};
-
 /**
- * Partition @p events into @p regions contiguous [begin, end) pieces
- * whose sizes differ by at most one event (the first `events % regions`
- * regions get the extra one). Regions beyond the event count are
- * empty.
+ * Run all requested benchmarks, serially and in request order — the
+ * live-VM reference the cell-scheduled experiments (exp/experiment.hh)
+ * are tested against.
  */
-std::vector<TraceRegion> planTraceRegions(uint64_t events,
-                                          unsigned regions);
-
-/**
- * True when @p options replay region by region: traceReplay on,
- * regions > 1, and no tracker enabled (trackers hold per-static state
- * that cannot be merged across regions).
- */
-bool regionReplayApplies(const SuiteOptions &options);
-
-/** Per-region statistics, merged by mergeRegionPartials. */
-struct RegionPartial
-{
-    unsigned region = 0;        ///< region index in [0, regions)
-    uint64_t events = 0;        ///< non-warm-up events replayed
-    /** One PredictionStats per predictor, SuiteOptions order. */
-    std::vector<core::PredictionStats> stats;
-};
-
-/**
- * Replay one region of @p name's recorded trace (recording it first
- * if the cache is cold) with the options' warm-up window, and return
- * the per-predictor statistics of the region alone.
- */
-RegionPartial runBenchmarkRegion(const std::string &name,
-                                 const SuiteOptions &options,
-                                 unsigned region);
-
-/**
- * Merge per-region partials (any order; one per region) into the
- * BenchmarkRun a serial whole-trace replay would produce — exec stats
- * from the recording sidecar, static counts from the program, and
- * per-predictor statistics summed region by region.
- */
-BenchmarkRun mergeRegionPartials(const std::string &name,
-                                 const SuiteOptions &options,
-                                 std::vector<RegionPartial> partials);
-
-/** Run all requested benchmarks. */
 std::vector<BenchmarkRun> runSuite(const SuiteOptions &options);
 
 /**

@@ -31,31 +31,25 @@ const char *const usageText =
         "usage: vpexp [--list] [--all] [experiment ...]\n"
         "             [--dry-run] [--jobs N] [--out DIR]\n"
         "             [--format table,csv,json] [--trace-cache DIR]\n"
-        "             [--regions W] [--warmup N] [--window N]\n"
-        "             [--stats] [--progress] [--trace-json FILE]\n"
+        "             [--window N] [--stats] [--progress]\n"
+        "             [--trace-json FILE]\n"
         "\n"
         "  --list         list registered experiments and exit\n"
         "  --spec-help    print the predictor spec grammar and exit\n"
         "  --all          run every registered experiment\n"
         "  --dry-run      shrink workloads to smoke scale\n"
         "  --jobs N       cell worker threads (default: hardware)\n"
-        "  --regions W    split each cell's trace into W regions\n"
-        "                 replayed as separate pool tasks, stats\n"
-        "                 merged (default 1 = exact serial replay;\n"
-        "                 W>1 drifts <=0.1pp at the default warmup)\n"
-        "  --warmup N     events replayed before each region to train\n"
-        "                 tables, excluded from stats (default 131072)\n"
         "  --window N     sample per-predictor coverage/accuracy every\n"
         "                 N events into each cell's windows series\n"
-        "                 (JSON + windows.csv; forces serial replay)\n"
+        "                 (JSON + windows.csv)\n"
         "  --stats        print the merged instrumentation counters of\n"
         "                 every cell after the experiment tables\n"
-        "  --progress     live cell/task completion line on stderr\n"
+        "  --progress     live cell completion line on stderr\n"
         "                 (only when stderr is a TTY)\n"
         "  --trace-json FILE\n"
         "                 write a Chrome trace-event timeline of the\n"
-        "                 run (cells, regions, warm-up, trace-cache,\n"
-        "                 reports) loadable in Perfetto\n"
+        "                 run (cells, replay, trace-cache, reports)\n"
+        "                 loadable in Perfetto\n"
         "  --out DIR      write <exp>.txt, <exp>.<table>.csv and\n"
         "                 BENCH_results.json under DIR\n"
         "  --format LIST  comma list of table,csv,json\n"
@@ -73,8 +67,6 @@ struct DriverOptions
     bool dryRun = false;
     bool help = false;
     unsigned jobs = 0;
-    unsigned regions = 1;
-    uint64_t warmup = defaultWarmupEvents;
     uint64_t window = 0;
     bool stats = false;
     bool progress = false;
@@ -139,34 +131,6 @@ parseArgs(int argc, const char *const *argv)
             } catch (const std::exception &) {
                 options.ok = false;
                 options.error = "bad --jobs value: " + value;
-            }
-        } else if (takeValue(arg, "--regions", argc, argv, i, value,
-                             options)) {
-            if (!options.ok)
-                break;
-            try {
-                size_t consumed = 0;
-                const int regions = std::stoi(value, &consumed);
-                if (regions < 1 || consumed != value.size())
-                    throw std::invalid_argument(value);
-                options.regions = static_cast<unsigned>(regions);
-            } catch (const std::exception &) {
-                options.ok = false;
-                options.error = "bad --regions value: " + value;
-            }
-        } else if (takeValue(arg, "--warmup", argc, argv, i, value,
-                             options)) {
-            if (!options.ok)
-                break;
-            try {
-                size_t consumed = 0;
-                const long long warmup = std::stoll(value, &consumed);
-                if (warmup < 0 || consumed != value.size())
-                    throw std::invalid_argument(value);
-                options.warmup = static_cast<uint64_t>(warmup);
-            } catch (const std::exception &) {
-                options.ok = false;
-                options.error = "bad --warmup value: " + value;
             }
         } else if (takeValue(arg, "--window", argc, argv, i, value,
                              options)) {
@@ -355,8 +319,6 @@ resultsJson(const std::vector<ExperimentOutcome> &outcomes,
     out << "\"dryRun\": " << (options.dryRun ? "true" : "false")
         << ",\n";
     out << "\"jobs\": " << scheduler.workers() << ",\n";
-    out << "\"regions\": " << options.regions << ",\n";
-    out << "\"warmupEvents\": " << options.warmup << ",\n";
     out << "\"windowEvents\": " << options.window << ",\n";
     out << "\"wallMs\": " << jsonNumber(total_ms) << ",\n";
     out << "\"uniqueCells\": " << scheduler.uniqueCells() << ",\n";
@@ -394,8 +356,7 @@ resultsJson(const std::vector<ExperimentOutcome> &outcomes,
             << record.config.scale << ", \"done\": "
             << (record.done ? "true" : "false") << ", \"wallMs\": "
             << jsonNumber(record.wallMs) << ", \"queuedMs\": "
-            << jsonNumber(record.queuedMs) << ", \"regions\": "
-            << record.regions << ", \"events\": "
+            << jsonNumber(record.queuedMs) << ", \"events\": "
             << record.events << ", \"nsPerEvent\": "
             << jsonNumber(record.events
                                   ? record.wallMs * 1e6 /
@@ -558,11 +519,8 @@ class ProgressMeter
         const util::MutexLock lock(mutex_);
         while (!stop_) {
             const CellScheduler::Progress p = scheduler_.progress();
-            std::fprintf(stderr,
-                         "\r\33[2Kvpexp: %zu/%zu cells done "
-                         "(%zu/%zu tasks)",
-                         p.cellsDone, p.cellsTotal, p.tasksDone,
-                         p.tasksTotal);
+            std::fprintf(stderr, "\r\33[2Kvpexp: %zu/%zu cells done",
+                         p.cellsDone, p.cellsTotal);
             std::fflush(stderr);
             wake_.wait_for(mutex_, std::chrono::milliseconds(200));
         }
@@ -643,8 +601,6 @@ vpexpMain(int argc, const char *const *argv)
     ExperimentConfig config;
     config.dryRun = options.dryRun;
     config.traceCacheDir = options.traceCacheDir;
-    config.regions = options.regions;
-    config.warmupEvents = options.warmup;
     config.windowEvents = options.window;
 
     std::optional<obs::TraceLog> traceLog;

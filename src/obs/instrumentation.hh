@@ -14,10 +14,6 @@
  * The handle bundles:
  *  - a Registry for the cell's counters/gauges/histograms (required);
  *  - an optional run-wide TraceLog for timeline spans.
- *
- * Region tasks of one cell run on different worker threads and share
- * the cell's handle concurrently; the registry's per-thread shards
- * make that safe without atomics.
  */
 
 #ifndef VP_OBS_INSTRUMENTATION_HH

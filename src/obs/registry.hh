@@ -1,9 +1,9 @@
 /**
  * @file
  * Metrics registry: named counters, gauges and log2-bucketed
- * histograms, sharded per thread so concurrent producers (the region
- * tasks of one scheduler cell, suite workers feeding one shared
- * registry) never touch an atomic or a lock on the increment path.
+ * histograms, sharded per thread so concurrent producers feeding one
+ * shared registry never touch an atomic or a lock on the increment
+ * path.
  *
  * Design:
  *

@@ -13,14 +13,14 @@
  *       ... ] }
  *
  * The vpexp driver creates one TraceLog per run (--trace-json FILE)
- * and the scheduler / suite layers record spans for cells, region
- * tasks, warm-up windows, trace-cache record/replay and report
- * generation through the obs::Instrumentation handle. Timestamps are
+ * and the scheduler / suite layers record spans for cells, replays,
+ * trace-cache recordings and report generation through the
+ * obs::Instrumentation handle. Timestamps are
  * microseconds since the log's construction (steady clock); tids are
  * small per-thread integers assigned on first use, with thread_name
  * metadata so the timeline groups by worker.
  *
- * Thread-safe: spans complete at cell/region/report granularity
+ * Thread-safe: spans complete at cell/report granularity
  * (hundreds per run), so a mutex per completed span is irrelevant to
  * replay performance and keeps the format code trivial.
  */

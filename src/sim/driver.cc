@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/instrumentation.hh"
-#include "vm/trace_file.hh"
 
 namespace vp::sim {
 
@@ -49,20 +48,13 @@ PredictorBank::onValue(const vm::TraceEvent &event)
 
     for (size_t i = 0; i < members_.size(); ++i) {
         auto &member = members_[i];
-        // predict() is not const — it can advance recency stamps and
-        // confidence state — so warm-up still runs the full protocol
-        // and only the accumulators below are gated.
         const auto pred = member.predictor->predict(event.pc);
         const bool correct = pred.valid && pred.value == event.value;
-        if (!warmup_)
-            member.stats.record(event.cat, pred.valid, correct);
+        member.stats.record(event.cat, pred.valid, correct);
         if (correct)
             core::bits::set(correct_bits, i);
         member.predictor->update(event.pc, event.value);
     }
-
-    if (warmup_)
-        return;
 
     if (overlap_) {
         uint32_t mask = 0;
@@ -113,11 +105,7 @@ PredictorBank::onBatch(vm::TraceSpan batch)
 
     // Statistics and trackers are pure accumulators over the outcome
     // bits, so feeding them member-major here produces exactly the
-    // state the event-major scalar loop builds. Warm-up spans train
-    // the tables (evalBatch above) but feed no accumulator.
-    if (warmup_)
-        return;
-
+    // state the event-major scalar loop builds.
     for (size_t m = 0; m < members_.size(); ++m) {
         auto &member = members_[m];
         const uint64_t *valid = batchValid_.row(m);
@@ -246,60 +234,6 @@ replayTrace(vm::TraceBatchSource &source, PredictorBank &bank,
     if (window_n != 0 && n % window_n != 0)
         closeWindow(bank, *windows, n, boundary);
     return n;
-}
-
-uint64_t
-replayTrace(vm::TraceBatchSource &source, PredictorBank &bank)
-{
-    return replayTrace(source, bank, nullptr, nullptr);
-}
-
-uint64_t
-replayTraceRegion(vm::TraceRegionReader &region, PredictorBank &bank,
-                  obs::Instrumentation *obs)
-{
-    uint64_t n = 0;
-    uint64_t warm = 0;
-    // The reader serves every warm-up span before the first region
-    // span, so one timeline span covers each phase; both are inert
-    // when obs is null or has no trace log.
-    auto timeline = obs::span(obs, "warmup", "replay");
-    bool in_warmup = true;
-    for (;;) {
-        const vm::TraceSpan span = region.nextBatch();
-        if (span.empty())
-            break;
-        if (in_warmup && !region.lastSpanWarmup()) {
-            timeline.arg("events", std::to_string(warm));
-            timeline = obs::span(obs, "region", "replay");
-            in_warmup = false;
-        }
-        obs::add(obs, "replay.batches");
-        obs::record(obs, "replay.batch_fill", span.size());
-        bank.setWarmup(region.lastSpanWarmup());
-        bank.onBatch(span);
-        if (region.lastSpanWarmup()) {
-            warm += span.size();
-            obs::add(obs, "replay.warmup_events", span.size());
-        } else {
-            n += span.size();
-            obs::add(obs, "replay.events", span.size());
-        }
-    }
-    if (in_warmup)
-        timeline.arg("events", std::to_string(warm));
-    else
-        timeline.arg("events", std::to_string(n));
-    bank.setWarmup(false);
-    return n;
-}
-
-void
-replayTraceBatched(const std::vector<vm::TraceEvent> &events,
-                   PredictorBank &bank, size_t batch)
-{
-    vm::VectorBatchSource source(events, batch);
-    replayTrace(source, bank);
 }
 
 RunOutcome

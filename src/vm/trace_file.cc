@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #if VP_HAVE_ZLIB
@@ -25,10 +23,6 @@ constexpr uint8_t codecZlib = 1;
 
 /** u32 events | u32 rawBytes | u32 encBytes | u8 codec. */
 constexpr size_t blockHeaderBytes = 4 + 4 + 4 + 1;
-/** u64 offset | u64 firstEvent | u32 events. */
-constexpr size_t indexEntryBytes = 8 + 8 + 4;
-/** u64 indexOffset | u64 totalEvents | magic. */
-constexpr size_t trailerBytes = 8 + 8 + 4;
 constexpr size_t headerBytes = 16;
 
 void
@@ -80,16 +74,6 @@ readU64(std::istream &in, const char *what = "trace header")
 }
 
 void
-writeVarint(std::ostream &out, uint64_t value)
-{
-    while (value >= 0x80) {
-        out.put(static_cast<char>(0x80 | (value & 0x7f)));
-        value >>= 7;
-    }
-    out.put(static_cast<char>(value));
-}
-
-void
 appendVarint(std::string &out, uint64_t value)
 {
     while (value >= 0x80) {
@@ -99,30 +83,7 @@ appendVarint(std::string &out, uint64_t value)
     out.push_back(static_cast<char>(value));
 }
 
-uint64_t
-readVarint(std::istream &in)
-{
-    uint64_t value = 0;
-    int shift = 0;
-    while (true) {
-        const int byte = in.get();
-        if (byte == std::istream::traits_type::eof())
-            throw TraceFileError("truncated varint");
-        // The 10th byte sits at shift 63: only its lowest bit still
-        // fits in a uint64. Any higher payload bit would be silently
-        // shifted out, decoding to a wrong value — reject it.
-        if (shift == 63 && (byte & 0x7e) != 0)
-            throw TraceFileError("varint overflow");
-        value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return value;
-        shift += 7;
-        if (shift >= 64)
-            throw TraceFileError("varint overflow");
-    }
-}
-
-/** In-memory variant for decoded VPT2 block payloads. */
+/** Decode one LEB128 varint from a block payload. */
 const uint8_t *
 readVarint(const uint8_t *p, const uint8_t *end, uint64_t &value)
 {
@@ -132,6 +93,9 @@ readVarint(const uint8_t *p, const uint8_t *end, uint64_t &value)
         if (p == end)
             throw TraceFileError("truncated varint");
         const uint8_t byte = *p++;
+        // The 10th byte sits at shift 63: only its lowest bit still
+        // fits in a uint64. Any higher payload bit would be silently
+        // shifted out, decoding to a wrong value — reject it.
         if (shift == 63 && (byte & 0x7e) != 0)
             throw TraceFileError("varint overflow");
         value |= static_cast<uint64_t>(byte & 0x7f) << shift;
@@ -178,95 +142,6 @@ traceFileZlibAvailable()
 #else
     return false;
 #endif
-}
-
-// --------------------------------------------------------- TraceCursor
-
-void
-TraceCursor::seekToEvent(uint64_t target)
-{
-    if (target < position()) {
-        throw TraceFileError(
-                "cannot seek backward in a non-indexed trace");
-    }
-    TraceEvent scratch{};
-    while (position() < target) {
-        if (!next(scratch))
-            throw TraceFileError("seek past end of trace");
-    }
-}
-
-uint64_t
-TraceCursor::replay(TraceSink &sink)
-{
-    TraceEvent event{};
-    uint64_t n = 0;
-    while (next(event)) {
-        sink.onValue(event);
-        ++n;
-    }
-    return n;
-}
-
-uint64_t
-TraceCursor::replayBatched(TraceSink &sink, size_t batch)
-{
-    std::vector<TraceEvent> block(batch == 0 ? 1 : batch);
-    uint64_t n = 0;
-    for (;;) {
-        const size_t got = readBatch(block.data(), block.size());
-        if (got == 0)
-            return n;
-        sink.onBatch(TraceSpan(block.data(), got));
-        n += got;
-    }
-}
-
-// --------------------------------------------------------- TraceWriter
-
-TraceWriter::TraceWriter(std::ostream &out) : out_(out)
-{
-    out_.write(magic1, 4);
-    writeU32(out_, 0);              // reserved
-    writeU64(out_, 0);              // event count, backpatched
-}
-
-void
-TraceWriter::onValue(const TraceEvent &event)
-{
-    out_.put(static_cast<char>(event.op));
-    // Subtract as uint64 (well-defined wraparound), then reinterpret
-    // as the signed delta: identical encoding, but no signed overflow
-    // for PCs on opposite ends of the 64-bit range.
-    writeVarint(out_, zigZag(static_cast<int64_t>(event.pc - lastPc_)));
-    writeVarint(out_, event.value);
-    lastPc_ = event.pc;
-    ++count_;
-}
-
-void
-TraceWriter::finish()
-{
-    if (finished_)
-        return;
-    finished_ = true;
-    out_.flush();
-    if (!out_)
-        throw TraceFileError("failed flushing trace stream");
-    out_.seekp(8);
-    if (!out_) {
-        // A pipe (or any non-seekable sink) lands here: without the
-        // backpatch the header would claim 0 events and replay would
-        // silently drop the whole trace.
-        throw TraceFileError(
-                "cannot seek to backpatch VPT1 event count "
-                "(non-seekable sink? use Vpt2Writer)");
-    }
-    writeU64(out_, count_);
-    out_.seekp(0, std::ios::end);
-    out_.flush();
-    if (!out_)
-        throw TraceFileError("failed backpatching VPT1 event count");
 }
 
 // --------------------------------------------------------- Vpt2Writer
@@ -359,164 +234,24 @@ Vpt2Writer::finish()
         throw TraceFileError("failed writing VPT2 index trailer");
 }
 
-// --------------------------------------------------------- TraceReader
-
-TraceReader::TraceReader(std::istream &in) : in_(in)
-{
-    char header[4];
-    in_.read(header, 4);
-    if (!in_ || std::memcmp(header, magic1, 4) != 0)
-        throw TraceFileError("not a VPT1 trace file");
-    readHeader();
-}
-
-TraceReader::TraceReader(std::istream &in, MagicConsumed) : in_(in)
-{
-    readHeader();
-}
-
-void
-TraceReader::readHeader()
-{
-    readU32(in_);                   // reserved
-    count_ = readU64(in_);
-}
-
-bool
-TraceReader::next(TraceEvent &event)
-{
-    if (seen_ >= count_)
-        return false;
-    const int tag = in_.get();
-    if (tag == std::istream::traits_type::eof())
-        throw TraceFileError("trace shorter than its header claims");
-    validateTag(tag, event);
-    const int64_t delta = unZigZag(readVarint(in_));
-    event.pc = lastPc_ + static_cast<uint64_t>(delta);
-    event.value = readVarint(in_);
-    lastPc_ = event.pc;
-    ++seen_;
-    return true;
-}
-
-size_t
-TraceReader::readBatch(TraceEvent *out, size_t max)
-{
-    size_t n = 0;
-    while (n < max && next(out[n]))
-        ++n;
-    return n;
-}
-
-void
-TraceReader::expectEnd()
-{
-    if (seen_ < count_)
-        throw TraceFileError("trace ends before its promised count");
-    if (in_.peek() != std::istream::traits_type::eof()) {
-        throw TraceFileError(
-                "trailing bytes after the promised event count");
-    }
-}
-
 // --------------------------------------------------------- Vpt2Reader
 
 Vpt2Reader::Vpt2Reader(std::istream &in) : in_(in)
 {
-    char header[4];
-    in_.read(header, 4);
-    if (!in_ || std::memcmp(header, magic2, 4) != 0)
-        throw TraceFileError("not a VPT2 trace file");
-    readHeader();
-}
-
-Vpt2Reader::Vpt2Reader(std::istream &in, MagicConsumed) : in_(in)
-{
-    readHeader();
-}
-
-void
-Vpt2Reader::readHeader()
-{
+    char magic[4];
+    in_.read(magic, 4);
+    if (!in_)
+        throw TraceFileError("truncated trace header");
+    if (std::memcmp(magic, magic1, 4) == 0) {
+        throw TraceFileError(
+                "VPT1 trace: that format is no longer read; "
+                "re-record the trace");
+    }
+    if (std::memcmp(magic, magic2, 4) != 0)
+        throw TraceFileError("not a trace file (unknown magic)");
     readU32(in_);                   // flags
     readU64(in_);                   // reserved
-    indexed_ = loadIndex();
-}
-
-/**
- * Seekable stream: jump to the trailer, validate the byte accounting
- * of index and trailer against the file size, load the index, and
- * return to the first block. Returns false (sequential mode) when the
- * stream cannot seek.
- */
-bool
-Vpt2Reader::loadIndex()
-{
-    const std::istream::pos_type body = in_.tellg();
-    if (body == std::istream::pos_type(-1))
-        return false;
-    in_.seekg(0, std::ios::end);
-    if (!in_) {
-        in_.clear();
-        in_.seekg(body);
-        return false;
-    }
-    const std::istream::pos_type file_end = in_.tellg();
-    const uint64_t file_size = static_cast<uint64_t>(file_end);
-    if (file_size < headerBytes + 4 + 8 + trailerBytes)
-        throw TraceFileError("VPT2 file too short for its trailer");
-
-    in_.seekg(file_end - std::istream::off_type(trailerBytes));
-    const uint64_t index_offset = readU64(in_, "VPT2 trailer");
-    const uint64_t total = readU64(in_, "VPT2 trailer");
-    char tm[4];
-    in_.read(tm, 4);
-    if (!in_ || std::memcmp(tm, trailerMagic, 4) != 0)
-        throw TraceFileError("bad VPT2 trailer magic");
-
-    if (index_offset < headerBytes + 4 ||
-        index_offset + 8 + trailerBytes > file_size) {
-        throw TraceFileError("VPT2 index offset out of range");
-    }
-    in_.seekg(static_cast<std::istream::off_type>(index_offset));
-    const uint64_t blocks = readU64(in_, "VPT2 index");
-    // The count is untrusted until it reproduces the file size
-    // exactly — this is what bounds the allocation below.
-    if (index_offset + 8 + blocks * indexEntryBytes + trailerBytes !=
-        file_size) {
-        throw TraceFileError("VPT2 index does not match file size");
-    }
-
-    index_.reserve(blocks);
-    uint64_t events = 0;
-    uint64_t min_offset = headerBytes;
-    for (uint64_t b = 0; b < blocks; ++b) {
-        IndexEntry entry;
-        entry.offset = readU64(in_, "VPT2 index");
-        entry.firstEvent = readU64(in_, "VPT2 index");
-        entry.events = readU32(in_, "VPT2 index");
-        // Payload sizes live in the block headers, not the index, so
-        // only a lower bound on each offset can be checked here: past
-        // the previous block's header plus a non-empty payload. Exact
-        // sizes are validated when a block is opened.
-        if ((b == 0 ? entry.offset != headerBytes
-                    : entry.offset < min_offset) ||
-            entry.firstEvent != events || entry.events == 0) {
-            throw TraceFileError("corrupt VPT2 index entry");
-        }
-        if (entry.offset + blockHeaderBytes > index_offset - 4)
-            throw TraceFileError("VPT2 index entry out of range");
-        events += entry.events;
-        min_offset = entry.offset + blockHeaderBytes + 1;
-        index_.push_back(entry);
-    }
-    if (events != total)
-        throw TraceFileError("VPT2 index events disagree with trailer");
-
-    total_ = total;
-    in_.clear();
-    in_.seekg(body);
-    return true;
+    offset_ = headerBytes;
 }
 
 /**
@@ -528,8 +263,10 @@ Vpt2Reader::openBlock()
 {
     if (ended_)
         return false;
+    const uint64_t block_offset = offset_;
     const uint32_t events = readU32(in_, "VPT2 block header");
     if (events == 0) {
+        offset_ += 4;
         finishStream();
         return false;
     }
@@ -575,43 +312,45 @@ Vpt2Reader::openBlock()
     end_ = p_ + raw_bytes;
     blockRemaining_ = events;
     lastPc_ = 0;
-    ++blocksSeen_;
-    ioRawBytes_ += raw_bytes;
-    ioEncBytes_ += enc_bytes;
-    ioDeflatedBlocks_ += codec == codecZlib;
+    offset_ += blockHeaderBytes + enc_bytes;
+    blocks_.push_back(BlockSeen{block_offset, pos_, events});
+    ++io_.blocksRead;
+    io_.rawBytes += raw_bytes;
+    io_.encBytes += enc_bytes;
+    io_.deflatedBlocks += codec == codecZlib;
     return true;
 }
 
 /**
- * Sequential (non-indexed) end of stream: the end marker was just
- * consumed; read the index and trailer that follow and verify them
- * against what was actually decoded, so truncation and trailing
- * garbage surface even without random access.
+ * The end marker was just consumed: read the index and trailer that
+ * follow and verify every field against what was actually decoded, so
+ * a corrupt index, truncation and a wrong count surface on any stream.
  */
 void
 Vpt2Reader::finishStream()
 {
     ended_ = true;
-    if (indexed_) {
-        // The index was validated up front; nothing left to read.
-        return;
-    }
+    const uint64_t index_offset = offset_;
     const uint64_t blocks = readU64(in_, "VPT2 index");
-    if (blocks != blocksSeen_)
+    if (blocks != blocks_.size())
         throw TraceFileError("VPT2 index disagrees with block stream");
-    uint64_t events = 0;
-    for (uint64_t b = 0; b < blocks; ++b) {
-        readU64(in_, "VPT2 index");
-        readU64(in_, "VPT2 index");
-        events += readU32(in_, "VPT2 index");
+    for (const BlockSeen &seen : blocks_) {
+        const uint64_t offset = readU64(in_, "VPT2 index");
+        const uint64_t first = readU64(in_, "VPT2 index");
+        const uint32_t events = readU32(in_, "VPT2 index");
+        if (offset != seen.offset || first != seen.firstEvent ||
+            events != seen.events) {
+            throw TraceFileError("corrupt VPT2 index entry");
+        }
     }
-    readU64(in_, "VPT2 trailer");   // index offset
+    if (readU64(in_, "VPT2 trailer") != index_offset)
+        throw TraceFileError("VPT2 trailer index offset is wrong");
     const uint64_t total = readU64(in_, "VPT2 trailer");
     char tm[4];
     in_.read(tm, 4);
     if (!in_ || std::memcmp(tm, trailerMagic, 4) != 0)
         throw TraceFileError("bad VPT2 trailer magic");
-    if (total != pos_ || events != pos_)
+    if (total != pos_)
         throw TraceFileError("VPT2 trailer count disagrees with stream");
     total_ = total;
 }
@@ -637,159 +376,38 @@ Vpt2Reader::decodeEvent(TraceEvent &event)
 bool
 Vpt2Reader::next(TraceEvent &event)
 {
-    while (blockRemaining_ == 0) {
-        if (!openBlock())
-            return false;
-    }
+    if (blockRemaining_ == 0 && !openBlock())
+        return false;
     decodeEvent(event);
     return true;
+}
+
+size_t
+Vpt2Reader::readBatch(TraceEvent *out, size_t max)
+{
+    size_t n = 0;
+    while (n < max && next(out[n]))
+        ++n;
+    return n;
 }
 
 void
 Vpt2Reader::expectEnd()
 {
-    if (!ended_) {
-        TraceEvent scratch{};
-        if (next(scratch))
-            throw TraceFileError("trace not fully consumed");
-    }
-    if (total_ != pos_)
-        throw TraceFileError("VPT2 trailer count disagrees with stream");
-    if (indexed_) {
-        // Random-access mode: everything after the end marker was
-        // validated against the file size when the index was loaded,
-        // but the stream position sits at the end marker — skip the
-        // index and check nothing follows the trailer.
-        in_.seekg(0, std::ios::end);
-        return;
-    }
+    TraceEvent scratch{};
+    if (next(scratch))
+        throw TraceFileError("trace not fully consumed");
     if (in_.peek() != std::istream::traits_type::eof())
         throw TraceFileError("trailing bytes after the VPT2 trailer");
 }
 
-size_t
-Vpt2Reader::blockCount() const
-{
-    return indexed_ ? index_.size() : static_cast<size_t>(blocksSeen_);
-}
-
-TraceIoStats
-Vpt2Reader::ioStats() const
-{
-    TraceIoStats stats;
-    stats.blocksRead = blocksSeen_;
-    stats.rawBytes = ioRawBytes_;
-    stats.encBytes = ioEncBytes_;
-    stats.deflatedBlocks = ioDeflatedBlocks_;
-    stats.seeks = ioSeeks_;
-    return stats;
-}
-
-void
-Vpt2Reader::seekToEvent(uint64_t target)
-{
-    if (!indexed_) {
-        TraceCursor::seekToEvent(target);
-        return;
-    }
-    if (target > total_)
-        throw TraceFileError("seek past end of trace");
-    if (target == total_) {
-        // Position exactly at the end: no events remain.
-        blockRemaining_ = 0;
-        p_ = end_ = nullptr;
-        ended_ = true;
-        pos_ = target;
-        return;
-    }
-
-    // Last block whose firstEvent <= target.
-    const auto it = std::upper_bound(
-            index_.begin(), index_.end(), target,
-            [](uint64_t t, const IndexEntry &e) {
-                return t < e.firstEvent;
-            });
-    const IndexEntry &entry = *(it - 1);
-
-    in_.clear();
-    in_.seekg(static_cast<std::istream::off_type>(entry.offset));
-    if (!in_)
-        throw TraceFileError("VPT2 seek failed");
-    ++ioSeeks_;
-    ended_ = false;
-    blockRemaining_ = 0;
-    pos_ = entry.firstEvent;
-    if (!openBlock() || blockRemaining_ != entry.events)
-        throw TraceFileError("VPT2 block disagrees with index");
-
-    TraceEvent scratch{};
-    while (pos_ < target)
-        decodeEvent(scratch);
-}
-
-std::unique_ptr<TraceCursor>
+std::unique_ptr<Vpt2Reader>
 openTrace(std::istream &in)
 {
-    char header[4];
-    in.read(header, 4);
-    if (!in)
-        throw TraceFileError("truncated trace header");
-    if (std::memcmp(header, magic1, 4) == 0)
-        return std::make_unique<TraceReader>(in, MagicConsumed{});
-    if (std::memcmp(header, magic2, 4) == 0)
-        return std::make_unique<Vpt2Reader>(in, MagicConsumed{});
-    throw TraceFileError("not a trace file (unknown magic)");
-}
-
-// -------------------------------------------------- TraceRegionReader
-
-TraceRegionReader::TraceRegionReader(TraceCursor &reader, uint64_t begin,
-                                     uint64_t end, uint64_t warmupEvents,
-                                     size_t batch)
-    : reader_(reader), begin_(begin), end_(end),
-      block_(batch == 0 ? 1 : batch)
-{
-    if (begin_ > end_)
-        throw TraceFileError("trace region begin past its end");
-    const uint64_t total = reader_.eventCount();
-    if (end_ > total)
-        throw TraceFileError("trace region past end of trace");
-    warmupBegin_ = begin_ - std::min(warmupEvents, begin_);
-    reader_.seekToEvent(warmupBegin_);
-}
-
-TraceSpan
-TraceRegionReader::nextBatch()
-{
-    const uint64_t pos = reader_.position();
-    if (pos >= end_)
-        return TraceSpan();
-    // Never straddle the warm-up/region boundary: the consumer flips
-    // its stats gating per span, not per event.
-    const uint64_t limit = pos < begin_ ? begin_ : end_;
-    const size_t want = static_cast<size_t>(
-            std::min<uint64_t>(block_.size(), limit - pos));
-    lastWarmup_ = pos < begin_;
-    const size_t got = reader_.readBatch(block_.data(), want);
-    if (got == 0)
-        throw TraceFileError("trace region shorter than promised");
-    return TraceSpan(block_.data(), got);
+    return std::make_unique<Vpt2Reader>(in);
 }
 
 // ------------------------------------------------------- conveniences
-
-void
-writeTraceFile(const std::string &path,
-               const std::vector<TraceEvent> &events)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw TraceFileError("cannot open " + path + " for writing");
-    TraceWriter writer(out);
-    for (const auto &event : events)
-        writer.onValue(event);
-    writer.finish();
-}
 
 void
 writeTraceFileVpt2(const std::string &path,
@@ -811,24 +429,14 @@ readTraceFile(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw TraceFileError("cannot open " + path);
-    const auto reader = openTrace(in);
-
-    // The header count is untrusted input: clamp the reserve to what
-    // the remaining bytes could possibly hold (>= 3 bytes per VPT1
-    // event; a corrupt header claiming 2^60 events must not OOM the
-    // process before decoding detects the corruption).
-    std::error_code ec;
-    const uint64_t file_bytes =
-            std::filesystem::file_size(std::filesystem::path(path), ec);
-    const uint64_t bound = ec ? 4096 : std::max<uint64_t>(
-                                               file_bytes / 3, 4096);
+    Vpt2Reader reader(in);
+    // No reserve: the event count is untrusted trailer data, only
+    // known (and checked) once the stream has been decoded.
     std::vector<TraceEvent> events;
-    events.reserve(static_cast<size_t>(
-            std::min<uint64_t>(reader->eventCount(), bound)));
     TraceEvent event{};
-    while (reader->next(event))
+    while (reader.next(event))
         events.push_back(event);
-    reader->expectEnd();
+    reader.expectEnd();
     return events;
 }
 

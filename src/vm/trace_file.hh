@@ -1,41 +1,31 @@
 /**
  * @file
- * Value-trace file formats: record a trace once, replay it into
+ * The value-trace file format: record a trace once, replay it into
  * predictor banks many times.
  *
  * The original study was trace-driven (SimpleScalar traces); this is
- * the equivalent facility. Two on-disk formats share one event
- * encoding (delta + varint):
- *
- * VPT1 — flat stream, the original format (still fully readable):
- *
- *   header:  magic "VPT1" | u32 reserved | u64 event count
- *   events:  per event, delta-encoded:
- *            u8  tag  = (opcode)
- *            varint pc-delta (zig-zag)  | varint value (raw LEB128)
- *
- * VPT2 — blocked, compressed, seekable; the campaign format written
- * by the suite trace cache (see README "Trace files"):
+ * the equivalent facility. VPT2 is a blocked, compressed stream of
+ * delta + varint coded events:
  *
  *   header:  magic "VPT2" | u32 flags | u64 reserved
  *   blocks:  u32 events (>0) | u32 rawBytes | u32 encBytes
  *            | u8 codec (0 raw, 1 zlib deflate) | encBytes payload
- *            — each block is self-contained: the pc-delta chain
- *            restarts (lastPc = 0) at every block boundary, so a
- *            reader can start decoding at any block.
+ *            — per event: u8 tag (opcode) | varint pc-delta (zig-zag)
+ *            | varint value (raw LEB128); the pc-delta chain restarts
+ *            (lastPc = 0) at every block boundary.
  *   endmark: u32 0 (a real block never holds zero events)
  *   index:   u64 blockCount
  *            | per block: u64 fileOffset | u64 firstEvent | u32 events
  *   trailer: u64 indexOffset | u64 totalEvents | magic "VP2X"
  *
  * The writer never seeks (counts live in the trailer), so VPT2 can be
- * written to a pipe; a reader on a seekable stream loads the index
- * from the trailer and can seekToEvent() any position by binary
- * search, which is what region-parallel replay is built on.
+ * written to a pipe. The reader is sequential too: it decodes block by
+ * block and, at the end marker, checks the index and trailer against
+ * the blocks it actually read — so a pipe and a file are validated
+ * identically.
  *
- * PC deltas and LEB128 exploit trace locality; typical traces shrink
- * to a few bytes per event, and the per-block deflate pass shrinks
- * VPT2 well below VPT1 (pinned by trace_file_test when zlib is in).
+ * PC deltas and LEB128 exploit trace locality, and the per-block
+ * deflate pass shrinks typical traces to a few bytes per event.
  */
 
 #ifndef VP_VM_TRACE_FILE_HH
@@ -64,52 +54,25 @@ struct TraceFileError : std::runtime_error
 bool traceFileZlibAvailable();
 
 /**
- * Streaming VPT1 trace writer; usable directly as the VM's TraceSink.
+ * Streaming VPT2 trace writer, usable directly as the VM's TraceSink:
+ * fixed-size self-contained blocks, an index footer, optional
+ * per-block deflate. Never seeks, so any ostream (including a pipe)
+ * works as the sink.
  *
  * @code
  *   std::ofstream out("gcc.vpt", std::ios::binary);
- *   TraceWriter writer(out);
+ *   Vpt2Writer writer(out);
  *   machine.setSink(&writer);
  *   machine.run(prog);
- *   writer.finish();             // backpatches the event count
+ *   writer.finish();             // end marker, index, trailer
  * @endcode
- */
-class TraceWriter : public TraceSink
-{
-  public:
-    explicit TraceWriter(std::ostream &out);
-
-    void onValue(const TraceEvent &event) override;
-
-    /**
-     * Flush and backpatch the header. Must be called once.
-     * @throws TraceFileError if the backpatch seek or write fails
-     * (e.g. a non-seekable pipe sink) — without it the header count
-     * would silently stay 0 and every event would be dropped on
-     * replay. Use Vpt2Writer for non-seekable sinks.
-     */
-    void finish();
-
-    uint64_t eventCount() const { return count_; }
-
-  private:
-    std::ostream &out_;
-    uint64_t count_ = 0;
-    uint64_t lastPc_ = 0;
-    bool finished_ = false;
-};
-
-/**
- * Streaming VPT2 trace writer: fixed-size self-contained blocks, an
- * event-index footer, optional per-block deflate. Never seeks, so
- * any ostream (including a pipe) works as the sink.
  */
 class Vpt2Writer : public TraceSink
 {
   public:
     /**
-     * @param blockEvents events per block — the seek granularity; the
-     *        default matches the replay batch size.
+     * @param blockEvents events per block; the default matches the
+     *        replay batch size.
      * @param compress deflate blocks when zlib is available and the
      *        deflated form is smaller (blocks record their own codec,
      *        so mixed files are fine).
@@ -121,13 +84,12 @@ class Vpt2Writer : public TraceSink
 
     /**
      * Flush the final partial block, then write the end marker, the
-     * seek index and the trailer. Must be called once.
+     * index and the trailer. Must be called once.
      * @throws TraceFileError when the sink rejects the writes.
      */
     void finish();
 
     uint64_t eventCount() const { return count_; }
-    size_t blockCount() const { return index_.size(); }
 
   private:
     void flushBlock();
@@ -152,40 +114,35 @@ class Vpt2Writer : public TraceSink
 };
 
 /**
- * Cumulative I/O work a cursor has performed, for the harness's trace
- * I/O telemetry (vpexp --stats / the per-cell counters block). Only
- * the blocked VPT2 format has block/compression structure to report;
- * a VPT1 cursor returns the all-zero default. The deflate ratio is
- * encBytes / rawBytes over the deflated blocks actually read.
+ * Cumulative I/O work a reader has performed, for the harness's trace
+ * I/O telemetry (vpexp --stats / the per-cell counters block). The
+ * deflate ratio is encBytes / rawBytes over the blocks read.
  */
 struct TraceIoStats
 {
-    uint64_t blocksRead = 0;        ///< blocks decoded (re-reads count)
+    uint64_t blocksRead = 0;        ///< blocks decoded
     uint64_t rawBytes = 0;          ///< decoded payload bytes
     uint64_t encBytes = 0;          ///< on-disk payload bytes
     uint64_t deflatedBlocks = 0;    ///< blocksRead that were deflated
-    uint64_t seeks = 0;             ///< index-backed stream repositions
 };
 
 /**
- * Format-independent read cursor over a recorded trace. Concrete
- * cursors are TraceReader (VPT1) and Vpt2Reader (VPT2); openTrace()
- * sniffs the magic and returns the right one.
+ * Sequential VPT2 trace reader. Works on any istream, seekable or
+ * not; the index and trailer are verified against the decoded blocks
+ * when the reader reaches them.
  */
-class TraceCursor
+class Vpt2Reader
 {
   public:
-    virtual ~TraceCursor() = default;
+    /** Reads and checks the header.
+     *  @throws TraceFileError on a missing or foreign magic. */
+    explicit Vpt2Reader(std::istream &in);
 
     /**
-     * Number of events promised by the file. For a VPT2 stream that
-     * cannot seek, the trailer has not been read yet and this is 0
-     * until the cursor reaches the end of the trace.
+     * Number of events the trailer promises: 0 until the reader has
+     * reached the end of the trace (the trailer comes last).
      */
-    virtual uint64_t eventCount() const = 0;
-
-    /** Global index of the next event next() would return. */
-    virtual uint64_t position() const = 0;
+    uint64_t eventCount() const { return total_; }
 
     /**
      * Read the next event.
@@ -193,139 +150,46 @@ class TraceCursor
      * @return false at end of trace.
      * @throws TraceFileError on corruption.
      */
-    virtual bool next(TraceEvent &event) = 0;
+    bool next(TraceEvent &event);
 
     /**
-     * Decode up to @p max events into @p out (the block-buffered read
-     * batched replay streams from). Returns the number decoded; 0 at
-     * end of trace.
+     * Decode up to @p max events into @p out; returns the number
+     * decoded, 0 at end of trace.
      */
-    virtual size_t
-    readBatch(TraceEvent *out, size_t max)
-    {
-        size_t n = 0;
-        while (n < max && next(out[n]))
-            ++n;
-        return n;
-    }
-
-    /**
-     * Position the cursor so the next event returned is global index
-     * @p target. The base implementation can only skip forward (it
-     * decodes and discards); Vpt2Reader overrides it with an index
-     * seek that also goes backward.
-     *
-     * @throws TraceFileError when the position is unreachable.
-     */
-    virtual void seekToEvent(uint64_t target);
+    size_t readBatch(TraceEvent *out, size_t max);
 
     /**
      * Verify the stream ends exactly where the format says it should:
-     * every promised event was consumed and no trailing bytes follow.
-     * Call after next() has returned false.
+     * every event consumed, index and trailer consistent, and no
+     * trailing bytes.
      *
      * @throws TraceFileError on trailing garbage or a short trace.
      */
-    virtual void expectEnd() = 0;
+    void expectEnd();
 
-    /** Cumulative I/O counters; zeroes for formats without block
-     *  structure. Purely observational. */
-    virtual TraceIoStats ioStats() const { return {}; }
-
-    /** Replay the remaining events into @p sink; returns the count. */
-    uint64_t replay(TraceSink &sink);
-
-    /**
-     * Replay the remaining events as TraceSink::onBatch spans of
-     * @p batch events, decoding through one reused block buffer —
-     * bounded memory regardless of trace length. Returns the count.
-     */
-    uint64_t replayBatched(TraceSink &sink, size_t batch = 4096);
-};
-
-/** Constructor tag: the caller already consumed the 4 magic bytes. */
-struct MagicConsumed
-{};
-
-/**
- * Streaming VPT1 trace reader: replays a recorded trace into a sink.
- */
-class TraceReader : public TraceCursor
-{
-  public:
-    explicit TraceReader(std::istream &in);
-    TraceReader(std::istream &in, MagicConsumed);
-
-    uint64_t eventCount() const override { return count_; }
-    uint64_t position() const override { return seen_; }
-    bool next(TraceEvent &event) override;
-    size_t readBatch(TraceEvent *out, size_t max) override;
-    void expectEnd() override;
+    /** Blocks decoded, payload bytes, deflated-block count. */
+    TraceIoStats ioStats() const { return io_; }
 
   private:
-    void readHeader();
-
-    std::istream &in_;
-    uint64_t count_ = 0;
-    uint64_t seen_ = 0;
-    uint64_t lastPc_ = 0;
-};
-
-/**
- * VPT2 trace reader. On a seekable stream the seek index is loaded
- * from the trailer up front (validated against the file size), making
- * seekToEvent() an O(log blocks) operation; on a non-seekable stream
- * the cursor degrades to sequential streaming and verifies the index
- * and trailer when it reaches them.
- */
-class Vpt2Reader : public TraceCursor
-{
-  public:
-    explicit Vpt2Reader(std::istream &in);
-    Vpt2Reader(std::istream &in, MagicConsumed);
-
-    uint64_t eventCount() const override { return total_; }
-    uint64_t position() const override { return pos_; }
-    bool next(TraceEvent &event) override;
-    void expectEnd() override;
-
-    /** True when the seek index is loaded (seekable stream). */
-    bool indexed() const { return indexed_; }
-    size_t blockCount() const;
-
-    /** Index-backed random access; falls back to a forward skip on
-     *  non-seekable streams. */
-    void seekToEvent(uint64_t target) override;
-
-    /** Blocks decoded, payload bytes, deflated-block and seek counts. */
-    TraceIoStats ioStats() const override;
-
-  private:
-    struct IndexEntry
+    struct BlockSeen
     {
         uint64_t offset;
         uint64_t firstEvent;
         uint32_t events;
     };
 
-    void readHeader();
-    bool loadIndex();
     bool openBlock();
     void finishStream();
     void decodeEvent(TraceEvent &event);
 
     std::istream &in_;
-    bool indexed_ = false;
     bool ended_ = false;
     uint64_t total_ = 0;        ///< trailer count (0 until known)
     uint64_t pos_ = 0;          ///< global index of the next event
+    uint64_t offset_ = 0;       ///< file offset of the next read (no tellg)
     uint64_t lastPc_ = 0;       ///< restarts per block
-    std::vector<IndexEntry> index_;
-    uint64_t blocksSeen_ = 0;
-    uint64_t ioRawBytes_ = 0;
-    uint64_t ioEncBytes_ = 0;
-    uint64_t ioDeflatedBlocks_ = 0;
-    uint64_t ioSeeks_ = 0;
+    std::vector<BlockSeen> blocks_;
+    TraceIoStats io_;
 
     std::string enc_;           ///< encoded (possibly deflated) block
     std::string rawBuf_;        ///< decoded block payload
@@ -335,20 +199,20 @@ class Vpt2Reader : public TraceCursor
 };
 
 /**
- * Open a trace for reading, auto-detecting VPT1 vs VPT2 from the
- * 4-byte magic.
+ * Open a trace for reading. A VPT1 file (the retired flat format)
+ * fails with a TraceFileError saying so.
  */
-std::unique_ptr<TraceCursor> openTrace(std::istream &in);
+std::unique_ptr<Vpt2Reader> openTrace(std::istream &in);
 
 /**
- * TraceBatchSource streaming from any TraceCursor through one reused
+ * TraceBatchSource streaming from a Vpt2Reader through one reused
  * block buffer: long traces replay in bounded memory instead of being
  * materialised by readTraceFile.
  */
 class ReaderBatchSource : public TraceBatchSource
 {
   public:
-    explicit ReaderBatchSource(TraceCursor &reader, size_t batch = 4096)
+    explicit ReaderBatchSource(Vpt2Reader &reader, size_t batch = 4096)
         : reader_(reader), block_(batch == 0 ? 1 : batch)
     {
     }
@@ -361,61 +225,16 @@ class ReaderBatchSource : public TraceBatchSource
     }
 
   private:
-    TraceCursor &reader_;
+    Vpt2Reader &reader_;
     std::vector<TraceEvent> block_;
 };
-
-/**
- * Batch source over one region of a recorded trace, with a warm-up
- * window: events [begin - warmup, begin) are served first with
- * lastSpanWarmup() == true (train predictor tables, keep them out of
- * the statistics), then [begin, end) with it false. A span never
- * straddles the warm-up/region boundary.
- *
- * Built on TraceCursor::seekToEvent, so a VPT2 cursor starts decoding
- * at the enclosing block while a VPT1 cursor skips forward serially.
- */
-class TraceRegionReader : public TraceBatchSource
-{
-  public:
-    /**
-     * @param warmupEvents how many events before @p begin to replay
-     *        as warm-up (clamped to the available prefix).
-     * @throws TraceFileError when [begin, end) is not a region of the
-     *         trace.
-     */
-    TraceRegionReader(TraceCursor &reader, uint64_t begin, uint64_t end,
-                      uint64_t warmupEvents, size_t batch = 4096);
-
-    TraceSpan nextBatch() override;
-
-    /** True while the span returned by the last nextBatch() call was
-     *  warm-up. */
-    bool lastSpanWarmup() const { return lastWarmup_; }
-
-    uint64_t warmupBegin() const { return warmupBegin_; }
-    uint64_t begin() const { return begin_; }
-    uint64_t end() const { return end_; }
-
-  private:
-    TraceCursor &reader_;
-    uint64_t begin_;
-    uint64_t end_;
-    uint64_t warmupBegin_;
-    bool lastWarmup_ = false;
-    std::vector<TraceEvent> block_;
-};
-
-/** Convenience: record a whole event vector to a VPT1 file. */
-void writeTraceFile(const std::string &path,
-                    const std::vector<TraceEvent> &events);
 
 /** Convenience: record a whole event vector to a VPT2 file. */
 void writeTraceFileVpt2(const std::string &path,
                         const std::vector<TraceEvent> &events,
                         size_t blockEvents = 4096, bool compress = true);
 
-/** Convenience: load a whole trace file (either format) into memory. */
+/** Convenience: load a whole trace file into memory. */
 std::vector<TraceEvent> readTraceFile(const std::string &path);
 
 } // namespace vp::vm

@@ -38,6 +38,15 @@ using namespace vp::core;
  *  and one larger than every smoke trace. */
 constexpr size_t kBatchSizes[] = {1, 7, 64, 4096};
 
+/** Streaming replay of an in-memory trace in spans of @p batch. */
+void
+replayBatched(const std::vector<vm::TraceEvent> &events,
+              sim::PredictorBank &bank, size_t batch)
+{
+    vm::VectorBatchSource source(events, batch);
+    sim::replayTrace(source, bank);
+}
+
 struct WorkloadTrace
 {
     std::string name;
@@ -129,7 +138,7 @@ TEST(BatchedEquivalence, EveryFamilyMatchesScalarAtEveryBatchSize)
 
                 sim::PredictorBank batched;
                 batched.add(exp::makePredictor(spec));
-                sim::replayTraceBatched(trace.events, batched, batch);
+                replayBatched(trace.events, batched, batch);
 
                 expectIdenticalStats(batched.member(0).stats,
                                      scalar.member(0).stats);
@@ -166,7 +175,7 @@ TEST(BatchedEquivalence, TrackersMatchScalarBitForBit)
             SCOPED_TRACE("batch " + std::to_string(batch));
 
             auto batched = makeTrackedBank();
-            sim::replayTraceBatched(trace.events, batched, batch);
+            replayBatched(trace.events, batched, batch);
 
             // Figure 8: every overlap bucket, overall and per category.
             ASSERT_NE(batched.overlap(), nullptr);
@@ -257,7 +266,7 @@ TEST(BatchedEquivalence, BoundedCountersMatchScalar)
             const auto *fcm_bp = fcm_b.get();
             batched.add(std::move(lv_b));
             batched.add(std::move(fcm_b));
-            sim::replayTraceBatched(trace.events, batched, batch);
+            replayBatched(trace.events, batched, batch);
 
             EXPECT_EQ(lv_bp->evictions(), lv_sp->evictions());
             EXPECT_EQ(lv_bp->table().aliasedTouches(),

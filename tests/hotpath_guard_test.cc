@@ -85,7 +85,8 @@ TEST(HotpathGuard, BatchedReplayDoesNotRegressPastScalar)
     });
     const double batched = bestOf(3, [&] {
         auto bank = makeBank();
-        sim::replayTraceBatched(events, bank);
+        vm::VectorBatchSource source(events, 64);
+        sim::replayTrace(source, bank);
     });
 
     const double ns_per_event = 1e9 / static_cast<double>(events.size());

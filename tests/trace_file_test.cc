@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the value-trace file format: round trips, streaming use
- * as a VM sink, replay equivalence, and corruption handling.
+ * Tests for the VPT2 value-trace file format: round trips, streaming
+ * use as a VM sink, replay equivalence, and corruption handling.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/fcm.hh"
 #include "exp/suite.hh"
 #include "masm/builder.hh"
 #include "sim/driver.hh"
@@ -44,20 +43,60 @@ sampleEvents(size_t n)
     return events;
 }
 
+/** Serialize events into an in-memory VPT2 stream. */
+std::string
+serialize(const std::vector<TraceEvent> &events, size_t blockEvents = 4096,
+          bool compress = true)
+{
+    std::stringstream buf(std::ios::in | std::ios::out |
+                          std::ios::binary);
+    vm::Vpt2Writer writer(buf, blockEvents, compress);
+    for (const auto &event : events)
+        writer.onValue(event);
+    writer.finish();
+    return buf.str();
+}
+
+/** Read a whole stream back through openTrace, end checks included. */
+std::vector<TraceEvent>
+deserialize(const std::string &data)
+{
+    std::stringstream buf(data, std::ios::in | std::ios::binary);
+    const auto reader = vm::openTrace(buf);
+    std::vector<TraceEvent> events;
+    TraceEvent event{};
+    while (reader->next(event))
+        events.push_back(event);
+    reader->expectEnd();
+    return events;
+}
+
+void
+expectSameEvents(const std::vector<TraceEvent> &got,
+                 const std::vector<TraceEvent> &expected)
+{
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(got[i].pc, expected[i].pc) << i;
+        EXPECT_EQ(got[i].value, expected[i].value) << i;
+        EXPECT_EQ(got[i].op, expected[i].op) << i;
+        EXPECT_EQ(got[i].cat, expected[i].cat) << i;
+    }
+}
+
 TEST(TraceFile, StreamRoundTrip)
 {
     const auto events = sampleEvents(1000);
     std::stringstream buf(std::ios::in | std::ios::out |
                           std::ios::binary);
-    vm::TraceWriter writer(buf);
+    vm::Vpt2Writer writer(buf);
     for (const auto &event : events)
         writer.onValue(event);
     writer.finish();
     EXPECT_EQ(writer.eventCount(), events.size());
 
     buf.seekg(0);
-    vm::TraceReader reader(buf);
-    EXPECT_EQ(reader.eventCount(), events.size());
+    vm::Vpt2Reader reader(buf);
     TraceEvent event{};
     for (const auto &expected : events) {
         ASSERT_TRUE(reader.next(event));
@@ -67,20 +106,18 @@ TEST(TraceFile, StreamRoundTrip)
         EXPECT_EQ(event.cat, expected.cat);
     }
     EXPECT_FALSE(reader.next(event));
+    reader.expectEnd();
+    EXPECT_EQ(reader.eventCount(), events.size());
 }
 
 TEST(TraceFile, FileRoundTripHelpers)
 {
     const auto events = sampleEvents(300);
     const std::string path = "test_roundtrip.vpt";
-    vm::writeTraceFile(path, events);
+    vm::writeTraceFileVpt2(path, events);
     const auto back = vm::readTraceFile(path);
     std::remove(path.c_str());
-    ASSERT_EQ(back.size(), events.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(back[i].pc, events[i].pc);
-        EXPECT_EQ(back[i].value, events[i].value);
-    }
+    expectSameEvents(back, events);
 }
 
 TEST(TraceFile, RecordedVmTraceReplaysIdentically)
@@ -103,48 +140,59 @@ TEST(TraceFile, RecordedVmTraceReplaysIdentically)
     live.add(vp::exp::makePredictor("fcm2"));
     sim::runProgram(prog, live);
 
-    // Recorded run.
+    // Recorded run, replayed through the streaming batch source.
     std::stringstream buf(std::ios::in | std::ios::out |
                           std::ios::binary);
-    vm::TraceWriter writer(buf);
+    vm::Vpt2Writer writer(buf, 64);
     vm::Machine machine;
     machine.setSink(&writer);
     ASSERT_TRUE(machine.run(prog).ok());
     writer.finish();
 
     buf.seekg(0);
-    vm::TraceReader reader(buf);
+    const auto reader = vm::openTrace(buf);
+    vm::ReaderBatchSource source(*reader, 100);
     sim::PredictorBank replayed;
     replayed.add(vp::exp::makePredictor("fcm2"));
-    const auto n = reader.replay(replayed);
+    const auto n = sim::replayTrace(source, replayed);
+    reader->expectEnd();
 
-    EXPECT_EQ(n, live.member(0).stats.total());
-    EXPECT_EQ(replayed.member(0).stats.correct(),
-              live.member(0).stats.correct());
+    const auto &want = live.member(0).stats;
+    const auto &got = replayed.member(0).stats;
+    EXPECT_EQ(n, want.total());
+    EXPECT_EQ(got.total(), want.total());
+    EXPECT_EQ(got.predicted(), want.predicted());
+    EXPECT_EQ(got.correct(), want.correct());
 }
 
 TEST(TraceFile, RejectsGarbage)
 {
-    std::stringstream buf;
-    buf << "not a trace at all";
-    EXPECT_THROW(vm::TraceReader reader(buf), vm::TraceFileError);
+    std::stringstream junk("not a trace at all");
+    EXPECT_THROW(vm::openTrace(junk), vm::TraceFileError);
+
+    std::stringstream empty("");
+    EXPECT_THROW(vm::openTrace(empty), vm::TraceFileError);
+
+    // The retired flat VPT1 format is refused by name, not misread.
+    std::string vpt1 = "VPT1";
+    vpt1.append(12, '\0');
+    std::stringstream old(vpt1);
+    try {
+        vm::openTrace(old);
+        FAIL() << "VPT1 file opened";
+    } catch (const vm::TraceFileError &error) {
+        EXPECT_NE(std::string(error.what()).find("VPT1"),
+                  std::string::npos);
+    }
 }
 
 TEST(TraceFile, RejectsTruncatedBody)
 {
-    const auto events = sampleEvents(50);
-    std::stringstream buf(std::ios::in | std::ios::out |
-                          std::ios::binary);
-    vm::TraceWriter writer(buf);
-    for (const auto &event : events)
-        writer.onValue(event);
-    writer.finish();
-
-    // Chop the tail off.
-    std::string data = buf.str();
+    // Chop the tail off: every event decodes, the trailer does not.
+    std::string data = serialize(sampleEvents(50));
     data.resize(data.size() - 4);
     std::stringstream cut(data, std::ios::in | std::ios::binary);
-    vm::TraceReader reader(cut);
+    vm::Vpt2Reader reader(cut);
     TraceEvent event{};
     EXPECT_THROW(
             {
@@ -154,21 +202,19 @@ TEST(TraceFile, RejectsTruncatedBody)
             vm::TraceFileError);
 }
 
+/** Bytes before the first event's tag: file header + block header. */
+constexpr size_t kFirstTagOffset = 16 + 13;
+
 TEST(TraceFile, RejectsNonPredictedOpcodeTags)
 {
     // Handcraft a file whose single event claims to be a store.
-    std::stringstream buf(std::ios::in | std::ios::out |
-                          std::ios::binary);
-    vm::TraceWriter writer(buf);
     TraceEvent good{};
     good.op = isa::Opcode::Add;
     good.cat = isa::Category::AddSub;
-    writer.onValue(good);
-    writer.finish();
-    std::string data = buf.str();
-    data[16] = static_cast<char>(isa::Opcode::Sd);  // first tag byte
+    std::string data = serialize({good}, 4096, false);
+    data[kFirstTagOffset] = static_cast<char>(isa::Opcode::Sd);
     std::stringstream bad(data, std::ios::in | std::ios::binary);
-    vm::TraceReader reader(bad);
+    vm::Vpt2Reader reader(bad);
     TraceEvent event{};
     EXPECT_THROW(reader.next(event), vm::TraceFileError);
 }
@@ -180,31 +226,6 @@ TEST(TraceFile, MissingFileThrows)
 }
 
 // ------------------------------------------- fuzz-ish round trips
-
-/** Serialize events into an in-memory trace stream. */
-std::string
-serialize(const std::vector<TraceEvent> &events)
-{
-    std::stringstream buf(std::ios::in | std::ios::out |
-                          std::ios::binary);
-    vm::TraceWriter writer(buf);
-    for (const auto &event : events)
-        writer.onValue(event);
-    writer.finish();
-    return buf.str();
-}
-
-std::vector<TraceEvent>
-deserialize(const std::string &data)
-{
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
-    vm::TraceReader reader(buf);
-    std::vector<TraceEvent> events;
-    TraceEvent event{};
-    while (reader.next(event))
-        events.push_back(event);
-    return events;
-}
 
 TEST(TraceFileFuzz, BoundaryValuesRoundTrip)
 {
@@ -224,13 +245,7 @@ TEST(TraceFileFuzz, BoundaryValuesRoundTrip)
         event.value = values[i];
         events.push_back(event);
     }
-
-    const auto back = deserialize(serialize(events));
-    ASSERT_EQ(back.size(), events.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(back[i].pc, events[i].pc) << i;
-        EXPECT_EQ(back[i].value, events[i].value) << i;
-    }
+    expectSameEvents(deserialize(serialize(events)), events);
 }
 
 TEST(TraceFileFuzz, RandomizedStreamsRoundTrip)
@@ -259,22 +274,16 @@ TEST(TraceFileFuzz, RandomizedStreamsRoundTrip)
             }
             events.push_back(event);
         }
-
-        const auto back = deserialize(serialize(events));
-        ASSERT_EQ(back.size(), events.size());
-        for (size_t i = 0; i < events.size(); ++i) {
-            EXPECT_EQ(back[i].pc, events[i].pc) << i;
-            EXPECT_EQ(back[i].value, events[i].value) << i;
-            EXPECT_EQ(back[i].op, events[i].op) << i;
-        }
+        expectSameEvents(deserialize(serialize(events)), events);
     }
 }
 
 TEST(TraceFileFuzz, TruncationAtEveryByteYieldsAPrefixThenThrows)
 {
-    // Chop a stream at every possible byte boundary: the reader must
-    // never crash, never fabricate events, and always end in a
-    // TraceFileError (a complete stream is the only clean exit).
+    // Chop a deflated single-block stream at every possible byte
+    // boundary: the reader must never crash, never fabricate events,
+    // and always end in a TraceFileError (a complete stream is the
+    // only clean exit).
     synth::Rng rng(2026);
     std::vector<TraceEvent> events;
     for (size_t i = 0; i < 40; ++i) {
@@ -294,10 +303,11 @@ TEST(TraceFileFuzz, TruncationAtEveryByteYieldsAPrefixThenThrows)
         std::vector<TraceEvent> seen;
         bool threw = false;
         try {
-            vm::TraceReader reader(buf);
+            const auto reader = vm::openTrace(buf);
             TraceEvent event{};
-            while (reader.next(event))
+            while (reader->next(event))
                 seen.push_back(event);
+            reader->expectEnd();
         } catch (const vm::TraceFileError &) {
             threw = true;
         }
@@ -313,7 +323,7 @@ TEST(TraceFileFuzz, TruncationAtEveryByteYieldsAPrefixThenThrows)
     EXPECT_EQ(deserialize(data).size(), events.size());
 }
 
-// ----------------------------------------- hardening (the PR's fixes)
+// ------------------------------------------------------- hardening
 
 /** A sink that accepts writes but refuses to seek — a pipe. */
 class PipeOutBuf : public std::stringbuf
@@ -360,21 +370,22 @@ class PipeInBuf : public std::stringbuf
     }
 };
 
-TEST(TraceFileHardening, Vpt1FinishThrowsOnNonSeekableSink)
+/** Decode all of @p in, then check the end: throws on corruption. */
+size_t
+drain(std::istream &in)
 {
-    // Without the seekp check, finish() on a pipe silently left the
-    // header count at 0 and replay dropped every event.
-    PipeOutBuf pipe;
-    std::ostream out(&pipe);
-    vm::TraceWriter writer(out);
-    for (const auto &event : sampleEvents(10))
-        writer.onValue(event);
-    EXPECT_THROW(writer.finish(), vm::TraceFileError);
+    vm::Vpt2Reader reader(in);
+    TraceEvent event{};
+    size_t n = 0;
+    while (reader.next(event))
+        ++n;
+    reader.expectEnd();
+    return n;
 }
 
 TEST(TraceFileHardening, Vpt2FinishWorksOnNonSeekableSink)
 {
-    // The replacement for the pipe use case: VPT2 never seeks.
+    // VPT2 never seeks, so a pipe is a fine sink.
     PipeOutBuf pipe;
     std::ostream out(&pipe);
     const auto events = sampleEvents(100);
@@ -385,13 +396,7 @@ TEST(TraceFileHardening, Vpt2FinishWorksOnNonSeekableSink)
     EXPECT_EQ(writer.eventCount(), events.size());
 
     std::stringstream buf(pipe.str(), std::ios::in | std::ios::binary);
-    vm::Vpt2Reader reader(buf);
-    TraceEvent event{};
-    size_t n = 0;
-    while (reader.next(event))
-        ++n;
-    reader.expectEnd();
-    EXPECT_EQ(n, events.size());
+    EXPECT_EQ(drain(buf), events.size());
 }
 
 namespace varint {
@@ -408,29 +413,39 @@ append(std::string &out, uint64_t value)
 
 } // namespace varint
 
-std::string
-vpt1Header(uint64_t count)
+void
+appendLe(std::string &out, uint64_t value, int bytes)
 {
-    std::string header = "VPT1";
-    header.append(4, '\0');
-    for (int i = 0; i < 8; ++i)
-        header.push_back(static_cast<char>(count >> (8 * i)));
-    return header;
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>(value >> (8 * i)));
+}
+
+/** A VPT2 header plus one raw block of @p events holding @p payload. */
+std::string
+rawBlockTrace(const std::string &payload, uint32_t events)
+{
+    std::string data = "VPT2";
+    data.append(12, '\0');          // flags, reserved
+    appendLe(data, events, 4);
+    appendLe(data, payload.size(), 4);      // rawBytes
+    appendLe(data, payload.size(), 4);      // encBytes
+    data.push_back(0);                      // codec: raw
+    return data + payload;
 }
 
 TEST(TraceFileHardening, RejectsOverflowingFinalVarintByte)
 {
     // A 10-byte varint's final byte sits at shift 63: only its lowest
     // bit fits in a uint64. 0x03 carries a second significant bit that
-    // the old decoder silently shifted out, decoding a wrong value.
-    std::string data = vpt1Header(1);
-    data.push_back(static_cast<char>(isa::Opcode::Add));
-    data.append(9, static_cast<char>(0xff));
-    data.push_back(0x03);           // overflowing final pc-delta byte
-    varint::append(data, 0);        // value
+    // a naive decoder silently shifts out, decoding a wrong value.
+    std::string payload(1, static_cast<char>(isa::Opcode::Add));
+    payload.append(9, static_cast<char>(0xff));
+    payload.push_back(0x03);        // overflowing final pc-delta byte
+    varint::append(payload, 0);     // value
 
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
-    vm::TraceReader reader(buf);
+    std::stringstream buf(rawBlockTrace(payload, 1),
+                          std::ios::in | std::ios::binary);
+    vm::Vpt2Reader reader(buf);
     TraceEvent event{};
     try {
         reader.next(event);
@@ -442,25 +457,49 @@ TEST(TraceFileHardening, RejectsOverflowingFinalVarintByte)
 
     // The legitimate 10-byte encoding (final byte 0x01 = UINT64_MAX)
     // still decodes — only genuine overflow is rejected.
-    std::string good = vpt1Header(1);
-    good.push_back(static_cast<char>(isa::Opcode::Add));
-    varint::append(good, vm::TraceEvent{}.pc);  // pc-delta 0
+    std::string good(1, static_cast<char>(isa::Opcode::Add));
+    varint::append(good, 0);                    // pc-delta 0
     good.append(9, static_cast<char>(0xff));
     good.push_back(0x01);                       // value = UINT64_MAX
-    std::stringstream ok(good, std::ios::in | std::ios::binary);
-    vm::TraceReader okReader(ok);
-    ASSERT_TRUE(okReader.next(event));
+    std::stringstream ok(rawBlockTrace(good, 1),
+                         std::ios::in | std::ios::binary);
+    vm::Vpt2Reader ok_reader(ok);
+    ASSERT_TRUE(ok_reader.next(event));
     EXPECT_EQ(event.value, UINT64_MAX);
 }
 
+/** Overwrite the @p bytes-wide little-endian field at @p at. */
+void
+patchLe(std::string &data, size_t at, uint64_t value, int bytes)
+{
+    std::string field;
+    appendLe(field, value, bytes);
+    data.replace(at, static_cast<size_t>(bytes), field);
+}
+
+uint64_t
+readLe(const std::string &data, size_t at, int bytes)
+{
+    uint64_t value = 0;
+    for (int i = 0; i < bytes; ++i)
+        value |= static_cast<uint64_t>(static_cast<uint8_t>(data[at + i]))
+                 << (8 * i);
+    return value;
+}
+
+/** Trailer layout: u64 indexOffset | u64 totalEvents | "VP2X". */
+constexpr size_t kTrailerBytes = 8 + 8 + 4;
+
 TEST(TraceFileHardening, AbsurdHeaderCountDoesNotPreallocate)
 {
-    // A forged header claiming 2^60 events must surface as a
+    // A forged trailer claiming 2^60 events must surface as a
     // TraceFileError, not a bad_alloc from reserve(2^60).
+    std::string data = serialize(sampleEvents(10));
+    patchLe(data, data.size() - kTrailerBytes + 8, uint64_t(1) << 60, 8);
     const std::string path = "test_absurd_count.vpt";
     {
         std::ofstream out(path, std::ios::binary);
-        out << vpt1Header(uint64_t(1) << 60);
+        out << data;
     }
     EXPECT_THROW(vm::readTraceFile(path), vm::TraceFileError);
     std::remove(path.c_str());
@@ -469,10 +508,8 @@ TEST(TraceFileHardening, AbsurdHeaderCountDoesNotPreallocate)
 TEST(TraceFileHardening, TrailingBytesAfterPromisedCountAreSurfaced)
 {
     const auto events = sampleEvents(25);
-    std::string data = serialize(events);
-    data += "junk after the promised event count";
-
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
+    std::stringstream buf(serialize(events) + "junk after the trailer",
+                          std::ios::in | std::ios::binary);
     const auto reader = vm::openTrace(buf);
     TraceEvent event{};
     size_t n = 0;
@@ -482,12 +519,53 @@ TEST(TraceFileHardening, TrailingBytesAfterPromisedCountAreSurfaced)
     EXPECT_THROW(reader->expectEnd(), vm::TraceFileError);
 
     // A clean stream passes the same check.
-    std::stringstream clean(serialize(events),
-                            std::ios::in | std::ios::binary);
-    const auto cleanReader = vm::openTrace(clean);
-    while (cleanReader->next(event)) {
+    EXPECT_EQ(deserialize(serialize(events)).size(), events.size());
+}
+
+TEST(TraceFileHardening, CorruptIndexFieldsAreRejectedOnAnyStream)
+{
+    // Index entry: u64 offset | u64 firstEvent | u32 events. Corrupt
+    // each field of the second entry, and the trailer's index offset;
+    // a file stream and a pipe must both reject every one.
+    const std::string good = serialize(sampleEvents(300), 64);
+    const uint64_t index_offset =
+            readLe(good, good.size() - kTrailerBytes, 8);
+    const size_t entry = static_cast<size_t>(index_offset) + 8 + 20;
+    const struct
+    {
+        const char *name;
+        size_t at;
+        int bytes;
+    } fields[] = {
+        {"entry offset", entry, 8},
+        {"entry firstEvent", entry + 8, 8},
+        {"entry events", entry + 16, 4},
+        {"trailer index offset", good.size() - kTrailerBytes, 8},
+    };
+
+    const std::string path = "test_corrupt_index.vpt";
+    for (const auto &field : fields) {
+        SCOPED_TRACE(field.name);
+        std::string bad = good;
+        patchLe(bad, field.at, readLe(good, field.at, field.bytes) + 1,
+                field.bytes);
+        {
+            std::ofstream out(path, std::ios::binary);
+            out << bad;
+        }
+        std::ifstream file(path, std::ios::binary);
+        EXPECT_THROW(drain(file), vm::TraceFileError);
+
+        PipeInBuf pipe(bad);
+        std::istream in(&pipe);
+        EXPECT_THROW(drain(in), vm::TraceFileError);
     }
-    cleanReader->expectEnd();
+    std::remove(path.c_str());
+
+    // The unmodified file passes both ways.
+    PipeInBuf pipe(good);
+    std::istream in(&pipe);
+    EXPECT_EQ(drain(in), 300u);
 }
 
 TEST(TraceCacheHardening, TempFilesCleanedUpWhenRenameFails)
@@ -519,46 +597,38 @@ TEST(TraceCacheHardening, TempFilesCleanedUpWhenRenameFails)
     fs::remove_all(dir);
 }
 
-// ------------------------------------------------------ VPT2 format
-
-std::string
-serializeVpt2(const std::vector<TraceEvent> &events, size_t blockEvents,
-              bool compress = true)
+TEST(TraceCacheHardening, Vpt1CacheFileFailsNamingTheFile)
 {
-    std::stringstream buf(std::ios::in | std::ios::out |
-                          std::ios::binary);
-    vm::Vpt2Writer writer(buf, blockEvents, compress);
-    for (const auto &event : events)
-        writer.onValue(event);
-    writer.finish();
-    return buf.str();
-}
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "vp-vpt1-cache-test";
+    fs::remove_all(dir);
 
-std::vector<TraceEvent>
-deserializeVpt2(const std::string &data)
-{
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
-    vm::Vpt2Reader reader(buf);
-    std::vector<TraceEvent> events;
-    TraceEvent event{};
-    while (reader.next(event))
-        events.push_back(event);
-    reader.expectEnd();
-    return events;
-}
+    exp::SuiteOptions options;
+    options.predictors = {"l"};
+    options.traceReplay = true;
+    options.traceCacheDir = dir.string();
+    options.config.scale = 5;
+    exp::runBenchmark("compress", options);     // records the cache
 
-void
-expectSameEvents(const std::vector<TraceEvent> &got,
-                 const std::vector<TraceEvent> &expected)
-{
-    ASSERT_EQ(got.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(got[i].pc, expected[i].pc) << i;
-        EXPECT_EQ(got[i].value, expected[i].value) << i;
-        EXPECT_EQ(got[i].op, expected[i].op) << i;
-        EXPECT_EQ(got[i].cat, expected[i].cat) << i;
+    // An old recording in a shared cache: VPT1 magic, valid sidecar.
+    const fs::path vpt = dir / "compress-ref-ref-s5.vpt";
+    ASSERT_TRUE(fs::exists(vpt));
+    {
+        std::ofstream out(vpt, std::ios::binary | std::ios::trunc);
+        out << "VPT1" << std::string(12, '\0');
     }
+    try {
+        exp::runBenchmark("compress", options);
+        FAIL() << "a VPT1 cache file replayed";
+    } catch (const std::runtime_error &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(vpt.string()), std::string::npos) << what;
+        EXPECT_NE(what.find("VPT1"), std::string::npos) << what;
+    }
+    fs::remove_all(dir);
 }
+
+// ------------------------------------------------------ VPT2 format
 
 TEST(Vpt2, RoundTripsAcrossBlockSizesAndCodecs)
 {
@@ -568,17 +638,16 @@ TEST(Vpt2, RoundTripsAcrossBlockSizesAndCodecs)
             SCOPED_TRACE(testing::Message()
                          << "block " << block << " compress "
                          << compress);
-            const auto data = serializeVpt2(events, block, compress);
-            const auto back = deserializeVpt2(data);
-            expectSameEvents(back, events);
+            expectSameEvents(deserialize(serialize(events, block,
+                                                   compress)),
+                             events);
         }
     }
 }
 
 TEST(Vpt2, EmptyTraceRoundTrips)
 {
-    const auto data = serializeVpt2({}, 64);
-    EXPECT_TRUE(deserializeVpt2(data).empty());
+    EXPECT_TRUE(deserialize(serialize({}, 64)).empty());
 }
 
 TEST(Vpt2, BoundaryValuesRoundTrip)
@@ -600,7 +669,7 @@ TEST(Vpt2, BoundaryValuesRoundTrip)
     }
     // Block size 3 forces the boundary values across block breaks,
     // exercising the per-block lastPc restart.
-    expectSameEvents(deserializeVpt2(serializeVpt2(events, 3)), events);
+    expectSameEvents(deserialize(serialize(events, 3)), events);
 }
 
 TEST(Vpt2, RandomizedStreamsRoundTrip)
@@ -619,72 +688,16 @@ TEST(Vpt2, RandomizedStreamsRoundTrip)
             event.value = rng.next() >> rng.range(64);
             events.push_back(event);
         }
-        const auto back =
-                deserializeVpt2(serializeVpt2(events, 100));
-        expectSameEvents(back, events);
+        expectSameEvents(deserialize(serialize(events, 100)), events);
     }
-}
-
-TEST(Vpt2, OpenTraceAutoDetectsBothFormats)
-{
-    const auto events = sampleEvents(50);
-
-    std::stringstream v1(serialize(events),
-                         std::ios::in | std::ios::binary);
-    EXPECT_EQ(vm::openTrace(v1)->eventCount(), events.size());
-
-    std::stringstream v2(serializeVpt2(events, 16),
-                         std::ios::in | std::ios::binary);
-    EXPECT_EQ(vm::openTrace(v2)->eventCount(), events.size());
-
-    std::stringstream junk("ABCD....", std::ios::in | std::ios::binary);
-    EXPECT_THROW(vm::openTrace(junk), vm::TraceFileError);
-}
-
-TEST(Vpt2, SeeksToEveryBlockBoundaryAndArbitraryTargets)
-{
-    const auto events = sampleEvents(1000);
-    const size_t block = 64;
-    const auto data = serializeVpt2(events, block);
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
-    vm::Vpt2Reader reader(buf);
-    ASSERT_TRUE(reader.indexed());
-    EXPECT_EQ(reader.blockCount(), (events.size() + block - 1) / block);
-
-    TraceEvent event{};
-    // Every block boundary, in a deliberately non-monotonic order
-    // (backward seeks must work on an indexed reader).
-    for (size_t b = reader.blockCount(); b-- > 0;) {
-        const uint64_t target = b * block;
-        reader.seekToEvent(target);
-        EXPECT_EQ(reader.position(), target);
-        ASSERT_TRUE(reader.next(event));
-        EXPECT_EQ(event.pc, events[target].pc);
-        EXPECT_EQ(event.value, events[target].value);
-    }
-    // Arbitrary mid-block targets.
-    for (uint64_t target = 0; target < events.size(); target += 37) {
-        reader.seekToEvent(target);
-        ASSERT_TRUE(reader.next(event));
-        EXPECT_EQ(event.pc, events[target].pc) << target;
-        EXPECT_EQ(event.value, events[target].value) << target;
-    }
-    // Seek to the exact end: no events remain.
-    reader.seekToEvent(events.size());
-    EXPECT_FALSE(reader.next(event));
-    EXPECT_THROW(reader.seekToEvent(events.size() + 1),
-                 vm::TraceFileError);
 }
 
 TEST(Vpt2, StreamsSequentiallyWithoutSeeking)
 {
     const auto events = sampleEvents(300);
-    const auto data = serializeVpt2(events, 32);
-
-    PipeInBuf pipe(data);
+    PipeInBuf pipe(serialize(events, 32));
     std::istream in(&pipe);
     vm::Vpt2Reader reader(in);
-    EXPECT_FALSE(reader.indexed());
     EXPECT_EQ(reader.eventCount(), 0u);     // trailer not read yet
 
     std::vector<TraceEvent> back;
@@ -698,27 +711,9 @@ TEST(Vpt2, StreamsSequentiallyWithoutSeeking)
 
 TEST(Vpt2, NonSeekableStreamSurfacesTrailingGarbage)
 {
-    const auto events = sampleEvents(100);
-    std::string data = serializeVpt2(events, 32);
-    data += "zzz";
-
-    PipeInBuf pipe(data);
+    PipeInBuf pipe(serialize(sampleEvents(100), 32) + "zzz");
     std::istream in(&pipe);
-    vm::Vpt2Reader reader(in);
-    TraceEvent event{};
-    while (reader.next(event)) {
-    }
-    EXPECT_THROW(reader.expectEnd(), vm::TraceFileError);
-}
-
-TEST(Vpt2, IndexedOpenRejectsTrailingGarbage)
-{
-    // With random access the byte accounting is validated up front.
-    const auto events = sampleEvents(100);
-    std::string data = serializeVpt2(events, 32);
-    data += "zzz";
-    std::stringstream buf(data, std::ios::in | std::ios::binary);
-    EXPECT_THROW(vm::Vpt2Reader reader(buf), vm::TraceFileError);
+    EXPECT_THROW(drain(in), vm::TraceFileError);
 }
 
 TEST(Vpt2Fuzz, TruncationAtEveryByteNeverFabricatesEvents)
@@ -733,105 +728,84 @@ TEST(Vpt2Fuzz, TruncationAtEveryByteNeverFabricatesEvents)
         event.value = rng.next() >> rng.range(64);
         events.push_back(event);
     }
-    const std::string data = serializeVpt2(events, 16);
+    const std::string data = serialize(events, 16);
 
+    // Decoded events must be a prefix, and the missing block, endmark,
+    // index or trailer bytes must surface as an error — identically
+    // on a seekable stream and a pipe.
+    const auto check = [&](std::istream &in) {
+        std::vector<TraceEvent> seen;
+        bool threw = false;
+        try {
+            vm::Vpt2Reader reader(in);
+            TraceEvent event{};
+            while (reader.next(event))
+                seen.push_back(event);
+            reader.expectEnd();
+        } catch (const vm::TraceFileError &) {
+            threw = true;
+        }
+        EXPECT_TRUE(threw);
+        ASSERT_LE(seen.size(), events.size());
+        expectSameEvents(seen,
+                         {events.begin(),
+                          events.begin() + static_cast<long>(seen.size())});
+    };
     for (size_t cut = 0; cut < data.size(); ++cut) {
         SCOPED_TRACE(cut);
-
-        // Indexed (seekable) open: the trailer/index validation must
-        // reject every truncation outright or during decode.
-        {
-            std::stringstream buf(data.substr(0, cut),
-                                  std::ios::in | std::ios::binary);
-            std::vector<TraceEvent> seen;
-            bool threw = false;
-            try {
-                vm::Vpt2Reader reader(buf);
-                TraceEvent event{};
-                while (reader.next(event))
-                    seen.push_back(event);
-                reader.expectEnd();
-            } catch (const vm::TraceFileError &) {
-                threw = true;
-            }
-            EXPECT_TRUE(threw);
-            ASSERT_LE(seen.size(), events.size());
-            expectSameEvents(seen, {events.begin(),
-                                    events.begin() +
-                                            static_cast<long>(
-                                                    seen.size())});
-        }
-
-        // Streaming open: decoded events must be a prefix, and the
-        // missing endmark/index/trailer must surface as an error.
-        {
-            PipeInBuf pipe(data.substr(0, cut));
-            std::istream in(&pipe);
-            std::vector<TraceEvent> seen;
-            bool threw = false;
-            try {
-                vm::Vpt2Reader reader(in);
-                TraceEvent event{};
-                while (reader.next(event))
-                    seen.push_back(event);
-                reader.expectEnd();
-            } catch (const vm::TraceFileError &) {
-                threw = true;
-            }
-            EXPECT_TRUE(threw);
-            ASSERT_LE(seen.size(), events.size());
-            expectSameEvents(seen, {events.begin(),
-                                    events.begin() +
-                                            static_cast<long>(
-                                                    seen.size())});
-        }
+        std::stringstream buf(data.substr(0, cut),
+                              std::ios::in | std::ios::binary);
+        check(buf);
+        PipeInBuf pipe(data.substr(0, cut));
+        std::istream in(&pipe);
+        check(in);
     }
 
-    expectSameEvents(deserializeVpt2(data), events);
+    expectSameEvents(deserialize(data), events);
 }
 
 TEST(Vpt2, FileHelpersRoundTrip)
 {
     const auto events = sampleEvents(500);
     const std::string path = "test_roundtrip2.vpt";
-    vm::writeTraceFileVpt2(path, events, 64);
-    const auto back = vm::readTraceFile(path);    // auto-detects
+    vm::writeTraceFileVpt2(path, events, 64, false);
+    const auto back = vm::readTraceFile(path);
     std::remove(path.c_str());
     expectSameEvents(back, events);
 }
 
-TEST(Vpt2, DeflateShrinksWorkloadTracesBelowVpt1)
+TEST(Vpt2, DeflateShrinksWorkloadTracesBelowRawBlocks)
 {
     if (!vm::traceFileZlibAvailable())
         GTEST_SKIP() << "built without zlib; blocks are stored raw";
 
     // One VM execution per workload, both writers fed from the same
-    // fan-out — the campaign-format size claim, pinned per workload.
+    // fan-out — the deflate pass must pay for itself on every trace.
     for (const auto &info : workloads::allWorkloads()) {
         SCOPED_TRACE(info.name);
         workloads::WorkloadConfig config;
         config.scale = 5;
         const auto prog = info.build(config);
 
-        std::stringstream v1(std::ios::in | std::ios::out |
-                             std::ios::binary);
-        std::stringstream v2(std::ios::in | std::ios::out |
-                             std::ios::binary);
-        vm::TraceWriter w1(v1);
-        vm::Vpt2Writer w2(v2);
+        std::stringstream raw(std::ios::in | std::ios::out |
+                              std::ios::binary);
+        std::stringstream deflated(std::ios::in | std::ios::out |
+                                   std::ios::binary);
+        vm::Vpt2Writer raw_writer(raw, 4096, false);
+        vm::Vpt2Writer deflated_writer(deflated);
         vm::FanoutSink fan;
-        fan.add(&w1);
-        fan.add(&w2);
+        fan.add(&raw_writer);
+        fan.add(&deflated_writer);
         vm::Machine machine;
         machine.setSink(&fan);
         ASSERT_TRUE(machine.run(prog).ok());
-        w1.finish();
-        w2.finish();
+        raw_writer.finish();
+        deflated_writer.finish();
 
-        EXPECT_LT(v2.str().size(), v1.str().size())
-                << "VPT2 (" << v2.str().size()
-                << " bytes) not smaller than VPT1 ("
-                << v1.str().size() << " bytes)";
+        EXPECT_LT(deflated.str().size(), raw.str().size())
+                << "deflated (" << deflated.str().size()
+                << " bytes) not smaller than raw ("
+                << raw.str().size() << " bytes)";
     }
 }
 

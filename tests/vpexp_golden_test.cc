@@ -107,7 +107,6 @@ TEST(VpexpGolden, Figure3MatchesLegacyRunSuitePath)
     SuiteOptions options;
     options.predictors = {"l", "s2", "fcm1", "fcm2", "fcm3"};
     options.config.scale = dryRunScale;
-    options.parallelism = 1;
     const auto runs = runSuite(options);
 
     // Rows: header, then one per benchmark, then the mean row.
@@ -189,7 +188,6 @@ TEST(VpexpGolden, Table2MatchesLegacyRunSuitePath)
     SuiteOptions options;
     options.predictors = {"l"};
     options.config.scale = dryRunScale;
-    options.parallelism = 1;
     const auto runs = runSuite(options);
 
     const auto &rows = table.rows();
