@@ -7,11 +7,12 @@
  *
  * Usage: vpd [options]
  *   --spec S            predictor spec per bank (default fcm3@1024/4096x4)
- *   --stripes N         lock stripes (default 64, rounded to pow2)
- *   --pc-group-bits B   pc bits per bank (default 64 = 1 bank/tenant)
- *   --engine E          thread | epoll (default thread)
- *   --loops N           epoll event loops (default 1)
- *   --port P            TCP port on 127.0.0.1 (default 0 = ephemeral)
+ *   --stripes N         lock stripes, 1..65536 (default 64, rounded
+ *                       to pow2)
+ *   --pc-group-bits B   pc bits per bank, 0..64 (default 64 = 1
+ *                       bank/tenant)
+ *   --port P            TCP port on 127.0.0.1, 0..65535 (default 0 =
+ *                       ephemeral)
  *   --unix PATH         listen on a Unix socket instead of TCP
  *   --stats HOST:PORT   connect to a running server, print its STATS
  *                       snapshot (rendered obs::Registry), exit
@@ -20,14 +21,16 @@
  *                       exchange against it, print the STATS
  *                       snapshot, exit 0 (the ctest smoke mode)
  *
- * Without --stats/--smoke the server runs until SIGINT/SIGTERM, then
- * stops gracefully (in-flight requests drain).
+ * Numeric options must be whole decimal tokens in range; anything
+ * else prints usage and exits 2. Without --stats/--smoke the server
+ * runs until SIGINT/SIGTERM, then stops (see VpdServer::stop).
  */
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "exp/suite.hh"
@@ -44,11 +47,22 @@ usage()
     std::fprintf(
             stderr,
             "usage: vpd [--spec S] [--stripes N] [--pc-group-bits B]\n"
-            "           [--engine thread|epoll] [--loops N]\n"
             "           [--port P | --unix PATH]\n"
             "           [--stats HOST:PORT | --stats-unix PATH]\n"
             "           [--smoke]\n");
     return 2;
+}
+
+/** @p text as a whole decimal number in [lo, hi], else nullopt. */
+std::optional<unsigned>
+parseUnsigned(const char *text, unsigned lo, unsigned hi)
+{
+    unsigned value = 0;
+    const char *end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi)
+        return std::nullopt;
+    return value;
 }
 
 /** One tiny client exchange proving the server serves (--smoke). */
@@ -104,25 +118,20 @@ main(int argc, char **argv)
         if (arg("--spec")) {
             config.banks.spec = argv[++i];
         } else if (arg("--stripes")) {
-            config.banks.stripes =
-                    static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg("--pc-group-bits")) {
-            config.banks.pcGroupBits =
-                    static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg("--engine")) {
-            const std::string engine = argv[++i];
-            if (engine == "thread") {
-                config.engine = net::Engine::Thread;
-            } else if (engine == "epoll") {
-                config.engine = net::Engine::Epoll;
-            } else {
+            const auto n = parseUnsigned(argv[++i], 1, 65536);
+            if (!n)
                 return usage();
-            }
-        } else if (arg("--loops")) {
-            config.epollLoops =
-                    static_cast<unsigned>(std::atoi(argv[++i]));
+            config.banks.stripes = *n;
+        } else if (arg("--pc-group-bits")) {
+            const auto n = parseUnsigned(argv[++i], 0, 64);
+            if (!n)
+                return usage();
+            config.banks.pcGroupBits = *n;
         } else if (arg("--port")) {
-            config.port = static_cast<uint16_t>(std::atoi(argv[++i]));
+            const auto n = parseUnsigned(argv[++i], 0, 65535);
+            if (!n)
+                return usage();
+            config.port = static_cast<uint16_t>(*n);
         } else if (arg("--unix")) {
             config.unixPath = argv[++i];
         } else if (arg("--stats")) {
@@ -143,11 +152,15 @@ main(int argc, char **argv)
                 client = net::VpdClient::connectUnix(stats_unix);
             } else {
                 const auto colon = stats_tcp.rfind(':');
-                if (colon == std::string::npos)
+                const auto port =
+                        colon == std::string::npos
+                                ? std::nullopt
+                                : parseUnsigned(stats_tcp.c_str() + colon + 1,
+                                                1, 65535);
+                if (!port)
                     return usage();
                 client = net::VpdClient::connectTcp(
-                        static_cast<uint16_t>(std::atoi(
-                                stats_tcp.c_str() + colon + 1)));
+                        static_cast<uint16_t>(*port));
             }
             std::fputs(client.stats().c_str(), stdout);
             return 0;
@@ -168,16 +181,13 @@ main(int argc, char **argv)
         if (config.unixPath.empty()) {
             std::fprintf(stderr,
                          "vpd: listening on 127.0.0.1:%u "
-                         "(engine=%s, spec=%s, stripes=%u)\n",
-                         server.port(),
-                         net::engineName(config.engine),
-                         config.banks.spec.c_str(),
+                         "(spec=%s, stripes=%u)\n",
+                         server.port(), config.banks.spec.c_str(),
                          server.banks().stripes());
         } else {
             std::fprintf(stderr,
-                         "vpd: listening on %s (engine=%s, spec=%s)\n",
+                         "vpd: listening on %s (spec=%s)\n",
                          config.unixPath.c_str(),
-                         net::engineName(config.engine),
                          config.banks.spec.c_str());
         }
 

@@ -11,18 +11,16 @@
  * single-bank replay of the same trace (exit 1 on any mismatch).
  *
  * Reports predictions/sec and per-frame RTT percentiles (p50/p99/p999)
- * per engine x client-count cell as JSON (a context block with date,
+ * per client-count cell as JSON (a context block with date,
  * scale and hardware_concurrency, then rows). The committed repo-root
  * BENCH_vpd.json is a snapshot of this program's output.
  *
  * Usage: vpd_loadgen [--scale N] [--clients LIST] [--batch N]
- *                    [--spec S] [--engine thread|epoll|both]
- *                    [--out FILE]
+ *                    [--spec S] [--out FILE]
  *   --scale N      workload scale percent (default 5, the smoke scale)
  *   --clients L    comma list of client counts (default "1,4")
  *   --batch N      events per BATCH frame (default 512)
  *   --spec S       predictor spec per bank (default fcm3@1024/4096x4)
- *   --engine E     which server engine(s) to bench (default both)
  *   --out FILE     write JSON there instead of BENCH_vpd.json
  */
 
@@ -91,7 +89,6 @@ percentileUs(const std::vector<double> &sorted, double p)
 
 struct CellResult
 {
-    std::string engine;
     unsigned clients = 0;
     size_t tenants = 0;
     uint64_t events = 0;
@@ -109,11 +106,10 @@ struct CellResult
  */
 CellResult
 runCell(const std::vector<Trace> &traces, const std::string &spec,
-        net::Engine engine, unsigned clients, size_t batch)
+        unsigned clients, size_t batch)
 {
     net::VpdServerConfig config;
     config.banks.spec = spec;
-    config.engine = engine;
     net::VpdServer server(config);
     server.start();
 
@@ -169,7 +165,6 @@ runCell(const std::vector<Trace> &traces, const std::string &spec,
     }
 
     CellResult cell;
-    cell.engine = net::engineName(engine);
     cell.clients = clients;
     cell.tenants = clients * traces.size();
     cell.wallMs = wallMs;
@@ -199,9 +194,9 @@ runCell(const std::vector<Trace> &traces, const std::string &spec,
             if (!stats.has_value() ||
                 !(*stats == traces[w].reference)) {
                 std::fprintf(stderr,
-                             "IDENTITY MISMATCH: engine=%s clients=%u "
+                             "IDENTITY MISMATCH: clients=%u "
                              "tenant=%llu workload=%s\n",
-                             cell.engine.c_str(), clients,
+                             clients,
                              static_cast<unsigned long long>(tenant),
                              traces[w].workload.c_str());
                 cell.identical = false;
@@ -223,7 +218,6 @@ main(int argc, char **argv)
     std::string out = "BENCH_vpd.json";
     std::string spec = "fcm3@1024/4096x4";
     std::string clientsArg = "1,4";
-    std::string engineArg = "both";
     size_t batch = 512;
 
     for (int i = 1; i < argc; ++i) {
@@ -238,16 +232,13 @@ main(int argc, char **argv)
             batch = static_cast<size_t>(std::atol(argv[++i]));
         } else if (arg("--spec")) {
             spec = argv[++i];
-        } else if (arg("--engine")) {
-            engineArg = argv[++i];
         } else if (arg("--out")) {
             out = argv[++i];
         } else {
             std::fprintf(
                     stderr,
                     "usage: vpd_loadgen [--scale N] [--clients LIST] "
-                    "[--batch N] [--spec S] "
-                    "[--engine thread|epoll|both] [--out FILE]\n");
+                    "[--batch N] [--spec S] [--out FILE]\n");
             return 2;
         }
     }
@@ -270,17 +261,6 @@ main(int argc, char **argv)
     if (clientCounts.empty())
         clientCounts = {1, 4};
 
-    std::vector<net::Engine> engines;
-    if (engineArg == "thread" || engineArg == "both")
-        engines.push_back(net::Engine::Thread);
-    if (engineArg == "epoll" || engineArg == "both")
-        engines.push_back(net::Engine::Epoll);
-    if (engines.empty()) {
-        std::fprintf(stderr, "unknown --engine %s\n",
-                     engineArg.c_str());
-        return 2;
-    }
-
     std::vector<Trace> traces;
     uint64_t totalEvents = 0;
     for (const auto &info : workloads::allWorkloads()) {
@@ -293,21 +273,17 @@ main(int argc, char **argv)
 
     std::vector<CellResult> cells;
     bool allIdentical = true;
-    for (const auto engine : engines) {
-        for (const unsigned clients : clientCounts) {
-            cells.push_back(
-                    runCell(traces, spec, engine, clients, batch));
-            const auto &cell = cells.back();
-            allIdentical = allIdentical && cell.identical;
-            std::fprintf(stderr,
-                         "%-6s clients=%u: %9.0f pred/s  "
-                         "p50 %.0fus p99 %.0fus p99.9 %.0fus  "
-                         "identity %s\n",
-                         cell.engine.c_str(), cell.clients,
-                         cell.predictionsPerSec, cell.p50Us,
-                         cell.p99Us, cell.p999Us,
-                         cell.identical ? "ok" : "FAILED");
-        }
+    for (const unsigned clients : clientCounts) {
+        cells.push_back(runCell(traces, spec, clients, batch));
+        const auto &cell = cells.back();
+        allIdentical = allIdentical && cell.identical;
+        std::fprintf(stderr,
+                     "clients=%u: %9.0f pred/s  "
+                     "p50 %.0fus p99 %.0fus p99.9 %.0fus  "
+                     "identity %s\n",
+                     cell.clients, cell.predictionsPerSec, cell.p50Us,
+                     cell.p99Us, cell.p999Us,
+                     cell.identical ? "ok" : "FAILED");
     }
 
     std::ofstream json(out);
@@ -331,8 +307,7 @@ main(int argc, char **argv)
          << "  },\n  \"runs\": [\n";
     for (size_t i = 0; i < cells.size(); ++i) {
         const auto &cell = cells[i];
-        json << "    {\"engine\": \"" << cell.engine
-             << "\", \"clients\": " << cell.clients
+        json << "    {\"clients\": " << cell.clients
              << ", \"tenants\": " << cell.tenants
              << ", \"events\": " << cell.events
              << ", \"frames\": " << cell.frames

@@ -57,7 +57,7 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
         echo "    perf_predictors not built (no google-benchmark); skipped"
     fi
     # vpd server loadgen: the seven workload traces replayed as
-    # concurrent loopback clients through both connection engines,
+    # concurrent loopback clients through the server,
     # with the per-tenant byte-identity check against serial replay
     # built in (the binary exits nonzero on any divergence).
     echo "==> perf smoke (vpd server loadgen)"
@@ -81,8 +81,9 @@ echo "==> sanitized configuration (ASan + UBSan)"
 run_config build-asan -DVP_SANITIZE=ON
 
 # ThreadSanitizer over the concurrent subsystems: the sharded bank
-# map, both vpd server engines, the frame decoder under concurrent
-# connections, and the obs registry shards. TSan and ASan cannot
+# map, the vpd server's connection threads, the frame decoder under
+# concurrent connections, and the obs TraceLog (shared by every cell's
+# task; obs registries are single-owner). TSan and ASan cannot
 # share a process, so this is its own configuration; benches and
 # examples are skipped for build speed and the run is restricted to
 # the multithreaded test binaries.

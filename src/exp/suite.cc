@@ -237,7 +237,7 @@ collectBankCounters(const sim::PredictorBank &bank,
 {
     if (obs == nullptr || obs->registry() == nullptr)
         return;
-    obs::RegistrySink sink(obs->registry()->local());
+    obs::RegistrySink sink(*obs->registry());
     bank.collectCounters(sink);
 }
 

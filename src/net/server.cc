@@ -3,24 +3,14 @@
 #include <cerrno>
 #include <cstring>
 #include <system_error>
-#include <unordered_map>
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 namespace vp::net {
-
-const char *
-engineName(Engine engine)
-{
-    return engine == Engine::Thread ? "thread" : "epoll";
-}
 
 namespace {
 
@@ -37,14 +27,6 @@ setNoDelay(int fd)
     // Best effort: fails with ENOTSUP-style errors on Unix sockets,
     // where there is no Nagle to disable anyway.
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void
-setNonBlocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0)
-        throwErrno("fcntl(O_NONBLOCK)");
 }
 
 /** Blocking full write with MSG_NOSIGNAL; false on peer error. */
@@ -127,52 +109,12 @@ listenUnix(const std::string &path)
 
 // ---- connection state ----------------------------------------------
 
-/** Thread-engine connection: fd plus its serving thread. */
+/** One connection: fd plus its serving thread. */
 struct VpdServer::Conn
 {
     int fd = -1;
     std::thread thread;
     std::atomic<bool> done{false};
-};
-
-namespace {
-
-/** Epoll-engine connection: all state confined to one loop thread. */
-struct EpollConn
-{
-    int fd = -1;
-    FrameDecoder decoder;
-    std::vector<uint8_t> wbuf;
-    size_t woff = 0;
-    std::vector<vm::TraceEvent> scratch;
-    bool wantWrite = false;
-    bool closing = false;
-
-    explicit EpollConn(uint32_t max_frame,
-                       std::vector<uint8_t> decoder_buffer,
-                       std::vector<uint8_t> write_buffer)
-        : decoder(max_frame, std::move(decoder_buffer)),
-          wbuf(std::move(write_buffer))
-    {
-        wbuf.clear();
-    }
-};
-
-} // anonymous namespace
-
-/** One epoll event loop: its own epoll/event fds and connections. */
-struct VpdServer::Loop
-{
-    int epollFd = -1;
-    int eventFd = -1;
-    std::thread thread;
-    util::Mutex pendingMutex;
-    /** fds handed over by accept — the one cross-thread hand-off. */
-    std::vector<int> pending VP_GUARDED_BY(pendingMutex);
-    // conns and chunk are confined to the loop thread while it runs;
-    // stop() touches them only after joining it.
-    std::unordered_map<int, EpollConn *> conns;
-    std::vector<uint8_t> chunk;     ///< shared read buffer
 };
 
 // ---- server --------------------------------------------------------
@@ -198,34 +140,6 @@ VpdServer::start()
         listenFd_ = listenTcp(config_.port, boundPort_);
 
     running_.store(true);
-    if (config_.engine == Engine::Epoll) {
-        const unsigned n =
-                config_.epollLoops == 0 ? 1 : config_.epollLoops;
-        for (unsigned i = 0; i < n; ++i) {
-            auto loop = std::make_unique<Loop>();
-            loop->epollFd = ::epoll_create1(0);
-            if (loop->epollFd < 0)
-                throwErrno("epoll_create1");
-            loop->eventFd = ::eventfd(0, EFD_NONBLOCK);
-            if (loop->eventFd < 0)
-                throwErrno("eventfd");
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            // The eventfd is the one registration with a null data
-            // pointer; connections always carry their EpollConn*.
-            ev.data.ptr = nullptr;
-            if (::epoll_ctl(loop->epollFd, EPOLL_CTL_ADD,
-                            loop->eventFd, &ev) < 0) {
-                throwErrno("epoll_ctl(eventfd)");
-            }
-            loop->chunk.resize(64 * 1024);
-            loops_.push_back(std::move(loop));
-        }
-        for (auto &loop : loops_) {
-            loop->thread = std::thread(
-                    [this, raw = loop.get()] { runEpollLoop(*raw); });
-        }
-    }
     acceptThread_ = std::thread([this] { runAccept(); });
     started_ = true;
 }
@@ -256,19 +170,18 @@ VpdServer::stop()
     if (!config_.unixPath.empty())
         ::unlink(config_.unixPath.c_str());
 
-    // Thread engine: wake every connection (shutdown makes blocked
-    // reads return 0 after any in-flight frame finishes) and join.
-    // The whole sweep holds connMutex_: the join loop used to walk
-    // conns_ unlocked, relying on the accept thread having been
-    // joined above — true, but invisible to the thread-safety
-    // analysis and fragile against future accessors. Holding the
-    // lock is deadlock-free because connection threads never take
-    // connMutex_ (only the accept thread and stop() do).
+    // Wake every connection and join. Both directions: a blocked
+    // recv returns 0 once the frame in flight has finished, and a
+    // send blocked on a peer that never reads fails with EPIPE (a
+    // read-side shutdown alone would leave it blocked forever). The
+    // whole sweep holds connMutex_, which is deadlock-free because
+    // connection threads never take it (only the accept thread and
+    // stop() do).
     {
         const util::MutexLock lock(connMutex_);
         for (auto &conn : conns_) {
             if (!conn->done.load() && conn->fd >= 0)
-                ::shutdown(conn->fd, SHUT_RD);
+                ::shutdown(conn->fd, SHUT_RDWR);
         }
         for (auto &conn : conns_) {
             if (conn->thread.joinable())
@@ -278,30 +191,6 @@ VpdServer::stop()
         }
         conns_.clear();
     }
-
-    // Epoll engine: wake the loops, join, then reap what they left.
-    for (auto &loop : loops_) {
-        const uint64_t one = 1;
-        if (loop->eventFd >= 0)
-            (void)!::write(loop->eventFd, &one, sizeof(one));
-    }
-    for (auto &loop : loops_) {
-        if (loop->thread.joinable())
-            loop->thread.join();
-        for (auto &[fd, conn] : loop->conns) {
-            ::close(fd);
-            pool_.release(conn->decoder.takeBuffer());
-            pool_.release(std::move(conn->wbuf));
-            delete conn;
-            openConns_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        loop->conns.clear();
-        if (loop->epollFd >= 0)
-            ::close(loop->epollFd);
-        if (loop->eventFd >= 0)
-            ::close(loop->eventFd);
-    }
-    loops_.clear();
     started_ = false;
 }
 
@@ -323,19 +212,7 @@ VpdServer::runAccept()
         acceptedConns_.fetch_add(1, std::memory_order_relaxed);
         openConns_.fetch_add(1, std::memory_order_relaxed);
 
-        if (config_.engine == Engine::Epoll) {
-            setNonBlocking(fd);
-            Loop &loop = *loops_[nextLoop_.fetch_add(1) % loops_.size()];
-            {
-                const util::MutexLock lock(loop.pendingMutex);
-                loop.pending.push_back(fd);
-            }
-            const uint64_t one = 1;
-            (void)!::write(loop.eventFd, &one, sizeof(one));
-            continue;
-        }
-
-        // Thread engine: reap finished connections, then spawn.
+        // Reap finished connections, then spawn.
         const util::MutexLock lock(connMutex_);
         for (auto it = conns_.begin(); it != conns_.end();) {
             if ((*it)->done.load()) {
@@ -377,8 +254,7 @@ VpdServer::runConnThread(int fd)
             break;
         }
         if (n == 0)
-            break;      // EOF (or stop()'s shutdown): frames already
-                        // received were processed after their read
+            break;      // EOF or stop()'s shutdown
         bytesIn_.fetch_add(static_cast<uint64_t>(n),
                            std::memory_order_relaxed);
         decoder.feed(rbuf.data(), static_cast<size_t>(n));
@@ -403,167 +279,6 @@ VpdServer::runConnThread(int fd)
     pool_.release(decoder.takeBuffer());
     pool_.release(std::move(wbuf));
     openConns_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void
-VpdServer::runEpollLoop(Loop &loop)
-{
-    auto close_conn = [&](EpollConn *conn) {
-        ::epoll_ctl(loop.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
-        ::close(conn->fd);
-        loop.conns.erase(conn->fd);
-        pool_.release(conn->decoder.takeBuffer());
-        pool_.release(std::move(conn->wbuf));
-        delete conn;
-        openConns_.fetch_sub(1, std::memory_order_relaxed);
-    };
-
-    // Flush as much of the write queue as the socket accepts; arms
-    // EPOLLOUT on a partial write. Returns false when the peer died.
-    auto flush = [&](EpollConn *conn) -> bool {
-        while (conn->woff < conn->wbuf.size()) {
-            const ssize_t w = ::send(conn->fd,
-                                     conn->wbuf.data() + conn->woff,
-                                     conn->wbuf.size() - conn->woff,
-                                     MSG_NOSIGNAL);
-            if (w < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                    if (!conn->wantWrite) {
-                        conn->wantWrite = true;
-                        epoll_event ev{};
-                        ev.events = EPOLLIN | EPOLLOUT;
-                        ev.data.ptr = conn;
-                        ::epoll_ctl(loop.epollFd, EPOLL_CTL_MOD,
-                                    conn->fd, &ev);
-                    }
-                    return true;
-                }
-                return false;
-            }
-            conn->woff += static_cast<size_t>(w);
-            bytesOut_.fetch_add(static_cast<uint64_t>(w),
-                                std::memory_order_relaxed);
-        }
-        conn->wbuf.clear();
-        conn->woff = 0;
-        if (conn->wantWrite) {
-            conn->wantWrite = false;
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            ev.data.ptr = conn;
-            ::epoll_ctl(loop.epollFd, EPOLL_CTL_MOD, conn->fd, &ev);
-        }
-        return true;
-    };
-
-    constexpr int kMaxEvents = 64;
-    epoll_event events[kMaxEvents];
-    while (true) {
-        const int n = ::epoll_wait(loop.epollFd, events, kMaxEvents, -1);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        bool stopping = false;
-        for (int i = 0; i < n; ++i) {
-            // Null data pointer = the eventfd (wake-up / handover).
-            if (events[i].data.ptr == nullptr) {
-                uint64_t drain = 0;
-                (void)!::read(loop.eventFd, &drain, sizeof(drain));
-                // Adopt newly accepted connections.
-                std::vector<int> pending;
-                {
-                    const util::MutexLock lock(loop.pendingMutex);
-                    pending.swap(loop.pending);
-                }
-                for (const int fd : pending) {
-                    auto *conn = new EpollConn(config_.maxFrameLength,
-                                               pool_.acquire(),
-                                               pool_.acquire());
-                    conn->fd = fd;
-                    loop.conns.emplace(fd, conn);
-                    epoll_event ev{};
-                    ev.events = EPOLLIN;
-                    ev.data.ptr = conn;
-                    if (::epoll_ctl(loop.epollFd, EPOLL_CTL_ADD, fd,
-                                    &ev) < 0) {
-                        close_conn(conn);
-                    }
-                }
-                if (!running_.load())
-                    stopping = true;
-                continue;
-            }
-
-            auto *conn = static_cast<EpollConn *>(events[i].data.ptr);
-            if (loop.conns.find(conn->fd) == loop.conns.end())
-                continue;       // closed earlier in this wake-up
-
-            if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
-                (events[i].events & EPOLLIN) == 0) {
-                close_conn(conn);
-                continue;
-            }
-
-            if ((events[i].events & EPOLLOUT) != 0) {
-                if (!flush(conn)) {
-                    close_conn(conn);
-                    continue;
-                }
-                if (conn->closing && conn->wbuf.empty()) {
-                    close_conn(conn);
-                    continue;
-                }
-            }
-
-            if ((events[i].events & EPOLLIN) == 0)
-                continue;
-
-            bool close_now = false;
-            while (true) {
-                const ssize_t r = ::recv(conn->fd, loop.chunk.data(),
-                                         loop.chunk.size(), 0);
-                if (r < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    if (errno != EAGAIN && errno != EWOULDBLOCK)
-                        close_now = true;
-                    break;
-                }
-                if (r == 0) {
-                    close_now = true;   // EOF: all complete frames
-                    break;              // below were fed already
-                }
-                bytesIn_.fetch_add(static_cast<uint64_t>(r),
-                                   std::memory_order_relaxed);
-                conn->decoder.feed(loop.chunk.data(),
-                                   static_cast<size_t>(r));
-                try {
-                    while (auto frame = conn->decoder.next()) {
-                        processFrame(*frame, conn->wbuf,
-                                     conn->scratch);
-                    }
-                } catch (const ProtocolError &error) {
-                    protocolErrors_.fetch_add(
-                            1, std::memory_order_relaxed);
-                    encodeError(conn->wbuf, error.code, error.what());
-                    conn->closing = true;   // close once flushed
-                    break;
-                }
-            }
-            if (!flush(conn)) {
-                close_conn(conn);
-                continue;
-            }
-            if (close_now || (conn->closing && conn->wbuf.empty()))
-                close_conn(conn);
-        }
-        if (stopping)
-            break;
-    }
 }
 
 void

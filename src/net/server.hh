@@ -4,34 +4,31 @@
  *
  * Listens on loopback TCP (ephemeral port by default) or a Unix
  * socket and serves PREDICT / TRAIN / BATCH / STATS / TENANT_STATS
- * frames against a ShardedBankMap. Two interchangeable connection
- * engines, selected per server (vpd_loadgen benchmarks both):
+ * frames against a ShardedBankMap. One engine: an accept thread
+ * spawns one blocking read/write thread per connection and reaps it
+ * once the connection ends. Connection buffers are pooled across
+ * connection churn so the steady state is allocation-free (see
+ * buffer_pool.hh).
  *
- *  - Engine::Thread — one blocking read/write thread per connection;
- *    the accept loop spawns and joins them. Simple, sees through to
- *    the kernel's scheduler, and on graceful stop() drains frames
- *    already received before closing.
- *  - Engine::Epoll — an accept thread dispatching connections
- *    round-robin onto N epoll event loops; nonblocking sockets,
- *    per-connection frame decoder and write queue with partial-write
- *    handling, eventfd wakeups for shutdown. Each connection lives on
- *    exactly one loop thread, so connection state needs no locks.
- *
- * Both engines share the frame dispatch (processFrame) and the
- * buffer pool; connection buffers are pooled across connection churn
- * so the steady state is allocation-free (see buffer_pool.hh).
+ * Back-pressure is the blocking write: a connection thread does not
+ * read its next chunk until the replies to the previous one have been
+ * sent, so a peer that never reads stalls only its own thread, after
+ * the socket buffers fill, and the server never buffers more than one
+ * chunk's replies per connection.
  *
  * Protocol errors are answered with a typed ERROR frame, counted,
  * and close the offending connection; they never take the server
- * down. stop() is idempotent and safe with in-flight requests:
- * already-received frames finish (thread engine) or the loop exits
- * between frames (epoll), and vpd_server_test pins both paths.
+ * down. stop() is idempotent and safe with in-flight requests: it
+ * shuts down both directions of every connection, so a frame being
+ * processed finishes but replies the peer has not read yet are
+ * dropped, and a thread blocked sending to a peer that never reads
+ * wakes up. vpd_server_test pins both cases.
  *
  * The STATS surface is an obs::Registry snapshot: serve-side
- * counters are plain atomics (a live server cannot use unsynchronised
- * per-thread registry shards — a snapshot may race active frames),
- * imported into a Registry at STATS time so the reply, `vpd --stats`
- * and the loadgen all render one obs::Snapshot the same way.
+ * counters are plain atomics (many connection threads bump them),
+ * imported into a throwaway single-owner Registry at STATS time so the
+ * reply, `vpd --stats` and the loadgen all render one obs::Snapshot
+ * the same way.
  */
 
 #ifndef VP_NET_SERVER_HH
@@ -52,18 +49,9 @@
 
 namespace vp::net {
 
-enum class Engine { Thread, Epoll };
-
-const char *engineName(Engine engine);
-
 struct VpdServerConfig
 {
     ShardedBankConfig banks;
-
-    Engine engine = Engine::Thread;
-
-    /** Event loops for Engine::Epoll (>= 1). */
-    unsigned epollLoops = 1;
 
     /** TCP port on 127.0.0.1; 0 = ephemeral (see VpdServer::port). */
     uint16_t port = 0;
@@ -84,11 +72,12 @@ class VpdServer
     VpdServer(const VpdServer &) = delete;
     VpdServer &operator=(const VpdServer &) = delete;
 
-    /** Bind, listen and start the engine.
+    /** Bind, listen and start accepting.
      *  @throws std::system_error on socket failures. */
     void start();
 
-    /** Graceful shutdown; idempotent, safe with in-flight requests. */
+    /** Shutdown; idempotent, safe with in-flight requests, returns even
+     *  when a peer never reads (see the file comment). */
     void stop();
 
     /** The bound TCP port (after start(); 0 for Unix servers). */
@@ -107,11 +96,9 @@ class VpdServer
 
   private:
     struct Conn;
-    struct Loop;
 
     void runAccept();
     void runConnThread(int fd);
-    void runEpollLoop(Loop &loop);
 
     /** Dispatch one decoded frame; appends the reply to @p reply. */
     void processFrame(const FrameDecoder::Frame &frame,
@@ -131,15 +118,11 @@ class VpdServer
 
     std::thread acceptThread_;
 
-    // Thread engine state. stop() holds connMutex_ across the
-    // shutdown + join + clear sweep, so the connection list is
-    // lock-guarded for its whole lifetime (not merely join-ordered).
+    // stop() holds connMutex_ across the shutdown + join + clear
+    // sweep, so the connection list is lock-guarded for its whole
+    // lifetime (not merely join-ordered).
     util::Mutex connMutex_;
     std::vector<std::unique_ptr<Conn>> conns_ VP_GUARDED_BY(connMutex_);
-
-    // Epoll engine state.
-    std::vector<std::unique_ptr<Loop>> loops_;
-    std::atomic<size_t> nextLoop_{0};
 
     // Serve-side counters (atomics: see file comment).
     std::atomic<uint64_t> acceptedConns_{0};

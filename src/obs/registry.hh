@@ -1,26 +1,27 @@
 /**
  * @file
  * Metrics registry: named counters, gauges and log2-bucketed
- * histograms, sharded per thread so concurrent producers feeding one
- * shared registry never touch an atomic or a lock on the increment
- * path.
+ * histograms.
  *
- * Design:
+ * Single-owner contract: a Registry is fed and snapshot on one thread
+ * (or under an external happens-before, such as a task handed to a
+ * worker). It has no lock and no atomics; a snapshot racing an
+ * increment is a data race like any other. Every registry in the tree
+ * follows it:
  *
- *  - A Registry owns a list of Shards. Each thread lazily acquires
- *    its own Shard on first use (Registry::local(), one mutex hit per
- *    thread per registry, then lock-free) and increments plain
- *    uint64_t slots from then on.
- *  - snapshot() merges every shard into a Snapshot: counters and
- *    histograms sum, gauges keep the maximum (high-water semantics —
- *    the only merge that is deterministic under concurrent setters).
- *    Totals are exact provided every producer has finished (joined or
- *    otherwise synchronised) before the snapshot, which is how the
- *    cell scheduler uses it: a cell's registry is snapshot only after
- *    the promise fulfilling the cell has been set. obs_test pins the
- *    exactness under 1..8 worker threads.
- *  - Metric names are dotted paths ("fcm.vpt.evictions"); producers
- *    that emit the same name accumulate into one logical metric.
+ *  - a cell's registry (exp::CellScheduler::CellObs) is fed by the
+ *    cell's task and snapshot by that same task once runBenchmark has
+ *    returned;
+ *  - vpd's STATS registry (net::VpdServer::statsSnapshot) is a local
+ *    of the thread answering STATS, which imports the server's atomic
+ *    counters, calls ShardedBankMap::collect on it and snapshots it
+ *    before returning.
+ *
+ * Merge rules (registry updates and Snapshot::merge alike): counters
+ * and histograms sum, gauges keep the maximum (high-water semantics,
+ * the one merge that is order-independent). Metric names are dotted
+ * paths ("fcm.vpt.evictions"); producers that emit the same name
+ * accumulate into one logical metric.
  *
  * Nothing here appears on the replay hot path: the predictors and
  * tables keep plain member counters (always on, a few adds per event
@@ -35,11 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "util/mutex.hh"
 
 namespace vp::obs {
 
@@ -148,17 +145,23 @@ struct Snapshot
         return counters.empty() && gauges.empty() && histograms.empty();
     }
 
-    /** Sum counters/histograms, max gauges — same rules as shards. */
+    /** Keep the larger of the current and @p value (high water). */
+    void
+    raiseGauge(const std::string &name, uint64_t value)
+    {
+        auto [it, fresh] = gauges.try_emplace(name, value);
+        if (!fresh && value > it->second)
+            it->second = value;
+    }
+
+    /** Sum counters/histograms, max gauges — the registry's rules. */
     void
     merge(const Snapshot &other)
     {
         for (const auto &[name, value] : other.counters)
             counters[name] += value;
-        for (const auto &[name, value] : other.gauges) {
-            auto [it, fresh] = gauges.try_emplace(name, value);
-            if (!fresh && value > it->second)
-                it->second = value;
-        }
+        for (const auto &[name, value] : other.gauges)
+            raiseGauge(name, value);
         for (const auto &[name, hist] : other.histograms)
             histograms[name].merge(hist);
     }
@@ -172,102 +175,44 @@ struct Snapshot
     }
 };
 
-/**
- * Thread-sharded metrics registry. See the file comment for the
- * threading contract; all name-keyed lookups happen on the producer's
- * own shard, so they are unsynchronised and allocation-light (each
- * shard touches only the names its thread emits).
- */
+/** Single-owner metrics registry; see the file comment. */
 class Registry
 {
   public:
-    /** One thread's private slice of the registry. */
-    class Shard
-    {
-      public:
-        void
-        add(const std::string &name, uint64_t delta)
-        {
-            counters_[name] += delta;
-        }
-
-        /** High-water gauge: keeps the largest value set. */
-        void
-        gauge(const std::string &name, uint64_t value)
-        {
-            auto [it, fresh] = gauges_.try_emplace(name, value);
-            if (!fresh && value > it->second)
-                it->second = value;
-        }
-
-        void
-        record(const std::string &name, uint64_t value)
-        {
-            histograms_[name].record(value);
-        }
-
-        void
-        record(const std::string &name, uint64_t value, uint64_t weight)
-        {
-            histograms_[name].record(value, weight);
-        }
-
-      private:
-        friend class Registry;
-        std::map<std::string, uint64_t> counters_;
-        std::map<std::string, uint64_t> gauges_;
-        std::map<std::string, Histogram> histograms_;
-    };
-
     Registry() = default;
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /**
-     * The calling thread's shard of this registry, created on first
-     * use. The returned reference stays valid for the registry's
-     * lifetime; only the creating thread may mutate it.
-     */
-    Shard &local();
-
-    /** Convenience forwarding to local(). */
-    void add(const std::string &name, uint64_t delta = 1)
+    void
+    add(const std::string &name, uint64_t delta = 1)
     {
-        local().add(name, delta);
+        data_.counters[name] += delta;
     }
 
-    void gauge(const std::string &name, uint64_t value)
+    /** High-water gauge: keeps the largest value set. */
+    void
+    gauge(const std::string &name, uint64_t value)
     {
-        local().gauge(name, value);
+        data_.raiseGauge(name, value);
     }
 
-    void record(const std::string &name, uint64_t value)
+    void
+    record(const std::string &name, uint64_t value)
     {
-        local().record(name, value);
+        data_.histograms[name].record(value);
     }
 
-    void record(const std::string &name, uint64_t value, uint64_t weight)
+    void
+    record(const std::string &name, uint64_t value, uint64_t weight)
     {
-        local().record(name, value, weight);
+        data_.histograms[name].record(value, weight);
     }
 
-    /**
-     * Merge every shard into one Snapshot. The caller must have
-     * synchronised with every producer thread first (joined it, or
-     * ordered through a promise/mutex as the cell scheduler does) —
-     * shard slots are deliberately unsynchronised, so a snapshot
-     * racing an increment is undefined like any other data race.
-     */
-    Snapshot snapshot() const;
+    /** A copy of everything recorded so far. */
+    Snapshot snapshot() const { return data_; }
 
   private:
-    /** Guards the shard *list*; shard slots stay thread-owned and
-     *  deliberately unannotated (see the class comment). */
-    mutable util::Mutex mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_ VP_GUARDED_BY(mutex_);
-    uint64_t id_ = nextId();        ///< process-unique (cache key)
-
-    static uint64_t nextId();
+    Snapshot data_;
 };
 
 } // namespace vp::obs

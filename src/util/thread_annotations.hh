@@ -3,9 +3,9 @@
  * Clang Thread Safety Analysis annotation macros.
  *
  * The repo's concurrency invariants — "every BoundedTable touch, even
- * a const PREDICT peek, happens under the stripe lock", "the obs
- * registry shard list is guarded, the shards themselves are
- * thread-owned" — used to live in header comments and a TSan CI
+ * a const PREDICT peek, happens under the stripe lock", "vpd's
+ * connection list is only touched under connMutex_" — used to live
+ * in header comments and a TSan CI
  * configuration that can only see the interleavings a run happens to
  * take. These macros move them into the compiler: under Clang,
  * `-Wthread-safety` (the `-DVP_THREAD_SAFETY=ON` CMake configuration
@@ -21,10 +21,10 @@
  *  - Functions that expect the caller to hold a lock carry
  *    VP_REQUIRES(mutex_); functions that lock on the caller's behalf
  *    carry VP_ACQUIRE/VP_RELEASE.
- *  - Thread-owned state (an epoll loop's connection map, a registry
- *    shard after local()) is deliberately unannotated, with a comment
- *    naming the owning thread — absence of an annotation plus a
- *    confinement comment is the convention for "no lock by design".
+ *  - Thread-owned state (a single-owner obs::Registry, fed and
+ *    snapshot by one cell's task) is deliberately unannotated, with a
+ *    comment naming the owning thread — absence of an annotation plus
+ *    a confinement comment is the convention for "no lock by design".
  *
  * Off Clang every macro expands to nothing, so gcc builds (and the
  * generated code everywhere) are byte-for-byte unaffected: the

@@ -37,11 +37,14 @@ class Memory
     /** Zero all of memory (fresh run). */
     void clear() { std::fill(mem_.begin(), mem_.end(), 0); }
 
-    /** Copy a blob into memory at @p addr. */
+    /** Copy a blob into memory at @p addr (an empty blob is a no-op:
+     *  its data() may be null, which memcpy does not allow). */
     void
     loadImage(uint64_t addr, const std::vector<uint8_t> &image)
     {
         check(addr, image.size());
+        if (image.empty())
+            return;
         std::memcpy(mem_.data() + addr, image.data(), image.size());
     }
 

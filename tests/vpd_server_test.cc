@@ -1,19 +1,26 @@
 /**
  * @file
- * End-to-end tests for the vpd server, parameterized over both
- * connection engines (thread-per-connection and epoll): request
- * round trips, concurrent-client byte-identity against serial
- * replay, the STATS surface, typed protocol errors over the wire,
- * client disconnect mid-frame, graceful stop with in-flight
- * requests, and Unix-socket transport.
+ * End-to-end tests for the vpd server: request round trips,
+ * concurrent-client byte-identity against serial replay, the STATS
+ * surface, typed protocol errors over the wire, client disconnect
+ * mid-frame, stop with in-flight requests, a peer that never reads
+ * its replies, and Unix-socket transport.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "exp/suite.hh"
 #include "net/client.hh"
@@ -54,7 +61,7 @@ serialReference(const std::vector<TraceEvent> &events,
     return net::TenantStats::from(bank.member(0).stats);
 }
 
-class VpdServerTest : public ::testing::TestWithParam<net::Engine>
+class VpdServerTest : public ::testing::Test
 {
   protected:
     net::VpdServerConfig
@@ -62,13 +69,11 @@ class VpdServerTest : public ::testing::TestWithParam<net::Engine>
     {
         net::VpdServerConfig config;
         config.banks.spec = "fcm3";
-        config.engine = GetParam();
-        config.epollLoops = 2;
         return config;
     }
 };
 
-TEST_P(VpdServerTest, RoundTrips)
+TEST_F(VpdServerTest, RoundTrips)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -99,7 +104,7 @@ TEST_P(VpdServerTest, RoundTrips)
     server.stop();
 }
 
-TEST_P(VpdServerTest, BatchMatchesSerialReplay)
+TEST_F(VpdServerTest, BatchMatchesSerialReplay)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -122,7 +127,7 @@ TEST_P(VpdServerTest, BatchMatchesSerialReplay)
     server.stop();
 }
 
-TEST_P(VpdServerTest, ConcurrentClientsByteIdentical)
+TEST_F(VpdServerTest, ConcurrentClientsByteIdentical)
 {
     // The acceptance bar: >= 4 concurrent clients, each replaying its
     // own stream as its own tenant; server-side per-tenant statistics
@@ -168,7 +173,7 @@ TEST_P(VpdServerTest, ConcurrentClientsByteIdentical)
     server.stop();
 }
 
-TEST_P(VpdServerTest, StatsSurface)
+TEST_F(VpdServerTest, StatsSurface)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -198,7 +203,7 @@ TEST_P(VpdServerTest, StatsSurface)
     server.stop();
 }
 
-TEST_P(VpdServerTest, UnknownOpcodeAnswersTypedErrorAndServerSurvives)
+TEST_F(VpdServerTest, UnknownOpcodeAnswersTypedErrorAndServerSurvives)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -270,7 +275,7 @@ TEST_P(VpdServerTest, UnknownOpcodeAnswersTypedErrorAndServerSurvives)
     server.stop();
 }
 
-TEST_P(VpdServerTest, ClientDisconnectMidFrameIsHarmless)
+TEST_F(VpdServerTest, ClientDisconnectMidFrameIsHarmless)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -294,7 +299,7 @@ TEST_P(VpdServerTest, ClientDisconnectMidFrameIsHarmless)
     server.stop();
 }
 
-TEST_P(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
+TEST_F(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
 {
     net::VpdServer server(baseConfig());
     server.start();
@@ -331,12 +336,92 @@ TEST_P(VpdServerTest, StopWithInFlightRequestsDoesNotHang)
     server.stop();
 }
 
-TEST_P(VpdServerTest, UnixSocketTransport)
+TEST_F(VpdServerTest, PeerThatNeverReadsIsBoundedAndStopReturns)
+{
+    // A peer pipelines STATS frames and never reads a reply. The
+    // server's blocking write is the back-pressure: it must take in a
+    // bounded amount, keep serving other clients, and stop() must
+    // still return although that connection's send is blocked.
+    net::VpdServer server(baseConfig());
+    server.start();
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK),
+              0);
+    std::atomic<int> peer{fd};
+
+    // Offer 4 MiB of STATS requests; stop once the socket has
+    // refused more for a while (the server has stopped reading).
+    std::vector<uint8_t> frames;
+    while (frames.size() < (size_t{4} << 20))
+        net::encodeStats(frames);
+    using Clock = std::chrono::steady_clock;
+    size_t sent = 0;
+    auto lastProgress = Clock::now();
+    while (sent < frames.size() &&
+           Clock::now() - lastProgress < std::chrono::milliseconds(300)) {
+        const ssize_t w = ::send(fd, frames.data() + sent,
+                                 frames.size() - sent, MSG_NOSIGNAL);
+        if (w > 0) {
+            sent += static_cast<size_t>(w);
+            lastProgress = Clock::now();
+        } else if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                   errno != EINTR) {
+            ADD_FAILURE() << "send: " << std::strerror(errno);
+            break;
+        } else {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    }
+    EXPECT_LT(server.statsSnapshot().counter("net.bytes_in"),
+              uint64_t{1} << 20)
+            << "offered " << sent << " bytes";
+
+    // Another client is still served.
+    {
+        auto client = net::VpdClient::connectTcp(server.port());
+        const auto events = sampleStream(64, 4);
+        EXPECT_EQ(client.batch(2, vm::TraceSpan(events.data(),
+                                                events.size()))
+                          .count,
+                  events.size());
+    }
+
+    // stop() must return on its own; if it hangs, the watchdog closes
+    // the peer (which unblocks the server) and records the failure.
+    std::atomic<bool> stopped{false}, watchdogFired{false};
+    std::thread watchdog([&] {
+        const auto deadline = Clock::now() + std::chrono::seconds(5);
+        while (!stopped.load() && Clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        if (!stopped.load()) {
+            watchdogFired.store(true);
+            if (const int open = peer.exchange(-1); open >= 0)
+                ::close(open);
+        }
+    });
+    server.stop();
+    stopped.store(true);
+    watchdog.join();
+    EXPECT_FALSE(watchdogFired.load())
+            << "stop() blocked on a peer that never reads";
+    if (const int open = peer.exchange(-1); open >= 0)
+        ::close(open);
+}
+
+TEST_F(VpdServerTest, UnixSocketTransport)
 {
     const std::string path =
             (std::filesystem::temp_directory_path() /
-             (std::string("vpd-test-") +
-              net::engineName(GetParam()) + ".sock"))
+             ("vpd-test-" + std::to_string(::getpid()) + ".sock"))
                     .string();
     std::filesystem::remove(path);
 
@@ -355,13 +440,5 @@ TEST_P(VpdServerTest, UnixSocketTransport)
     server.stop();
     std::filesystem::remove(path);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, VpdServerTest,
-                         ::testing::Values(net::Engine::Thread,
-                                           net::Engine::Epoll),
-                         [](const auto &info) {
-                             return std::string(
-                                     net::engineName(info.param));
-                         });
 
 } // namespace
