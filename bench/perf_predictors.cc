@@ -193,8 +193,9 @@ BM_BoundedFcmManyPc(benchmark::State &state)
 }
 
 /**
- * Batched vs scalar replay through the full PredictorBank, the path
- * every experiment cell takes. The stream mirrors the value locality
+ * Batched replay through the full PredictorBank, the path every
+ * experiment cell takes, against the scalar per-event
+ * predict()/update() protocol on the same predictor. The stream mirrors the value locality
  * real traces have (the paper's premise): many static PCs, each
  * producing a constant, a short repeating stride phase, or a repeated
  * non-stride cycle, so the predictors *learn* and the per-event cost
@@ -288,7 +289,15 @@ runReplay(benchmark::State &state, const char *spec, bool batched,
             vm::VectorBatchSource source(events, 4096);
             sim::replayTrace(source, bank);
         } else {
-            sim::replayTrace(events, bank);
+            // The per-event protocol on the predictor itself, with
+            // the statistics a bank member keeps.
+            auto &member = bank.member(0);
+            for (const auto &event : events) {
+                const auto p = member.predictor->predict(event.pc);
+                member.stats.record(event.cat, p.valid,
+                                    p.valid && p.value == event.value);
+                member.predictor->update(event.pc, event.value);
+            }
         }
         state.SetIterationTime(
                 std::chrono::duration<double>(Clock::now() - start)

@@ -72,7 +72,8 @@ recordTrace(const workloads::WorkloadInfo &info,
 
     sim::PredictorBank bank;
     bank.add(exp::makePredictor(spec));
-    sim::replayTrace(trace.events, bank);
+    vm::VectorBatchSource source(trace.events, 1);
+    sim::replayTrace(source, bank);
     trace.reference = net::TenantStats::from(bank.member(0).stats);
     return trace;
 }

@@ -79,8 +79,7 @@ main(int argc, char **argv)
     std::printf("%s\n", isa::disassemble(prog).c_str());
 
     sim::PredictorBank bank;
-    for (const char *spec : {"l", "s2", "fcm1", "fcm2", "fcm3"})
-        bank.add(exp::makePredictor(spec));
+    exp::addSpecs(bank, {"l", "s2", "fcm1", "fcm2", "fcm3"});
 
     sim::RunOutcome outcome;
     try {

@@ -173,8 +173,7 @@ int
 cmdRun(const std::string &workload, const Options &options)
 {
     sim::PredictorBank bank;
-    for (const auto &spec : options.predictors)
-        bank.add(exp::makePredictor(spec));
+    exp::addSpecs(bank, options.predictors);
 
     const auto prog =
             workloads::findWorkload(workload).build(options.config);
@@ -225,8 +224,7 @@ cmdAnalyze(const std::string &path, const Options &options)
     }
     const auto reader = vm::openTrace(in);
     sim::PredictorBank bank;
-    for (const auto &spec : options.predictors)
-        bank.add(exp::makePredictor(spec));
+    exp::addSpecs(bank, options.predictors);
     vm::ReaderBatchSource source(*reader);
     const auto n = sim::replayTrace(source, bank);
     reader->expectEnd();

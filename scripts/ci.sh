@@ -75,6 +75,15 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
         --out build/obs-smoke --format json > /dev/null
     cp build/obs-smoke/BENCH_results.json build/BENCH_results.json
     echo "    wrote build/BENCH_results.json and build/BENCH_trace.json"
+
+    # The repository benchmark's own checks (perfbench/README.md): its
+    # self-test, then one short studies run, which compares every
+    # study member's eligible/predicted/correct and every report CSV
+    # against perfbench/reference/studies.json. Both exit nonzero on a
+    # mismatch; run.py builds into .bench_build.
+    echo "==> perfbench self-test and studies reference check"
+    python3 -m unittest discover -s perfbench/tests
+    python3 perfbench/run.py --workload studies --seed 0 --seconds 1
 fi
 
 echo "==> sanitized configuration (ASan + UBSan)"

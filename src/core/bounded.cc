@@ -561,13 +561,8 @@ BoundedFcmPredictor::trainBatch(const uint64_t *pcs,
 std::string
 BoundedFcmPredictor::name() const
 {
-    std::string base = "fcm" + std::to_string(config_.fcm.order);
-    switch (config_.fcm.blending) {
-      case FcmBlending::None: base += "-pure"; break;
-      case FcmBlending::Full: base += "-full"; break;
-      case FcmBlending::LazyExclusion: break;
-    }
-    std::string s = base + "@" + std::to_string(vht_.capacity()) + "/" +
+    std::string s = fcmVariantName(config_.fcm) + "@" +
+                    std::to_string(vht_.capacity()) + "/" +
                     std::to_string(vpt_.capacity());
     s += boundedSuffixTail(vpt_.config());
     return s;

@@ -17,7 +17,7 @@ confidenceSuffix(const ConfidenceConfig &config)
     return s;
 }
 
-ConfidencePredictor::ConfidencePredictor(PredictorPtr inner,
+ConfidencePredictor::ConfidencePredictor(SharedPredictor inner,
                                          ConfidenceConfig config)
     : inner_(std::move(inner)), config_(config)
 {
@@ -75,17 +75,21 @@ ConfidencePredictor::update(uint64_t pc, uint64_t actual)
     inner_->update(pc, actual);
 }
 
-void
-ConfidencePredictor::evalBatch(const uint64_t *pcs,
-                               const uint64_t *values, size_t n,
-                               uint64_t *valid, uint64_t *correct)
+std::span<const SharedPredictor>
+ConfidencePredictor::components() const
 {
-    const size_t words = bits::words(n);
-    scratch_.assign(2 * words, 0);
-    uint64_t *inner_valid = scratch_.data();
-    uint64_t *inner_correct = inner_valid + words;
+    return {&inner_, 1};
+}
 
-    inner_->evalBatch(pcs, values, n, inner_valid, inner_correct);
+void
+ConfidencePredictor::combineBatch(const uint64_t *pcs, size_t n,
+                                  const OutcomeRows *rows,
+                                  uint64_t *valid, uint64_t *correct)
+{
+    const uint64_t *inner_valid = rows[0].valid;
+    const uint64_t *inner_correct = rows[0].correct;
+    // The inner state moved on under the batch: the scalar path's
+    // cached lookup is stale.
     lastFresh_ = false;
 
     for (size_t i = 0; i < n; ++i) {

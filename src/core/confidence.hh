@@ -21,7 +21,10 @@
  * declining) applies the miss penalty — either a reset to zero (the
  * classic "n strikes" estimator) or a decrement (slower to lose
  * trust). The wrapped predictor is always trained, so gating never
- * changes what the tables learn, only what the machine acts on.
+ * changes what the tables learn, only what the machine acts on — and
+ * so every gate over one inner spec can share a single copy of it
+ * (combineBatch() consumes the inner's outcome rows instead of
+ * re-running it; see sim::PredictorBank).
  */
 
 #ifndef VP_CORE_CONFIDENCE_HH
@@ -29,7 +32,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "core/predictor.hh"
 
@@ -86,7 +88,17 @@ std::string confidenceSuffix(const ConfidenceConfig &config);
 class ConfidencePredictor : public ValuePredictor
 {
   public:
-    explicit ConfidencePredictor(PredictorPtr inner,
+    /**
+     * Gate @p inner. The inner predictor may be shared with other
+     * gates and with a bank member of its own (exp::SpecInterner
+     * builds sweeps that way): the gate never changes what it
+     * learns, so one copy serves them all — provided it is trained
+     * once per event, which sim::PredictorBank's node DAG does. A
+     * gate whose inner is shared is evaluated through such a bank,
+     * not through its own predict()/update() (or the default
+     * evalBatch() over them), which train the inner it holds.
+     */
+    explicit ConfidencePredictor(SharedPredictor inner,
                                  ConfidenceConfig config = {});
 
     Prediction predict(uint64_t pc) const override;
@@ -94,14 +106,17 @@ class ConfidencePredictor : public ValuePredictor
     std::string name() const override;
     void reset() override;
 
+    /** The inner predictor (row 0 of combineBatch()). */
+    std::span<const SharedPredictor> components() const override;
+
     /**
-     * Batched evaluation: the inner predictor grades the whole batch
-     * (one virtual dispatch), then a sequential pass applies the gate
-     * and trains the counters exactly as the scalar pair would.
+     * The gate over the inner predictor's rows: a sequential pass
+     * that gates each event on the pre-event counter and trains the
+     * counter exactly as the scalar predict()/update() pair would.
      */
-    void evalBatch(const uint64_t *pcs, const uint64_t *values,
-                   size_t n, uint64_t *valid,
-                   uint64_t *correct) override;
+    void combineBatch(const uint64_t *pcs, size_t n,
+                      const OutcomeRows *rows, uint64_t *valid,
+                      uint64_t *correct) override;
 
     /** Inner table entries plus live confidence counters. */
     size_t tableEntries() const override;
@@ -121,7 +136,7 @@ class ConfidencePredictor : public ValuePredictor
     void collectCounters(CounterSink &sink) const override;
 
   private:
-    PredictorPtr inner_;
+    SharedPredictor inner_;
     ConfidenceConfig config_;
     std::unordered_map<uint64_t, int> counters_;
     uint64_t gatedDeclines_ = 0;
@@ -135,8 +150,6 @@ class ConfidencePredictor : public ValuePredictor
     mutable uint64_t lastPc_ = 0;
     mutable Prediction lastInner_{};
     mutable bool lastFresh_ = false;
-
-    std::vector<uint64_t> scratch_;     ///< inner bit rows
 };
 
 } // namespace vp::core

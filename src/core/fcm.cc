@@ -5,6 +5,20 @@
 
 namespace vp::core {
 
+std::string
+fcmVariantName(const FcmConfig &config)
+{
+    std::string s = "fcm";
+    s += std::to_string(config.order);
+    if (config.blending == FcmBlending::None)
+        s += "-pure";
+    else if (config.blending == FcmBlending::Full)
+        s += "-full";
+    else if (config.counterMax != 0)
+        s += "-sat";
+    return s;
+}
+
 FcmPredictor::FcmPredictor(FcmConfig config) : config_(config)
 {
     if (config_.order < 0)
@@ -229,13 +243,7 @@ FcmPredictor::trainBatch(const uint64_t *pcs, const uint64_t *values,
 std::string
 FcmPredictor::name() const
 {
-    std::string base = "fcm" + std::to_string(config_.order);
-    switch (config_.blending) {
-      case FcmBlending::None: return base + "-pure";
-      case FcmBlending::Full: return base + "-full";
-      case FcmBlending::LazyExclusion: return base;
-    }
-    return base;
+    return fcmVariantName(config_);
 }
 
 void

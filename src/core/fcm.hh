@@ -56,6 +56,14 @@ struct FcmConfig
 };
 
 /**
+ * "fcm<K>" plus the variant suffix the spec grammar spells: "-pure"
+ * (no blending), "-full" (full blending) or "-sat" (lazy exclusion
+ * with a counter ceiling). The name of both fcm predictors and the
+ * base of the canonical spec name, so no two fcm variants share one.
+ */
+std::string fcmVariantName(const FcmConfig &config);
+
+/**
  * Follower frequencies for one context.
  *
  * Shared between the unbounded predictor below and the bounded

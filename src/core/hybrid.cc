@@ -15,12 +15,12 @@ HybridPredictor::HybridPredictor(HybridConfig config)
 {
 }
 
-HybridPredictor::HybridPredictor(PredictorPtr first, PredictorPtr second,
+HybridPredictor::HybridPredictor(SharedPredictor first,
+                                 SharedPredictor second,
                                  HybridChooser chooser)
-    : first_(std::move(first)), second_(std::move(second)),
-      chooser_(chooser)
+    : parts_{std::move(first), std::move(second)}, chooser_(chooser)
 {
-    if (first_ == nullptr || second_ == nullptr)
+    if (parts_[0] == nullptr || parts_[1] == nullptr)
         throw std::invalid_argument("hybrid needs two components");
     if (chooser_.table)
         boundedChooser_.emplace(*chooser_.table);
@@ -40,8 +40,8 @@ HybridPredictor::counterFor(uint64_t pc) const
 Prediction
 HybridPredictor::predict(uint64_t pc) const
 {
-    const Prediction from_second = second_->predict(pc);
-    const Prediction from_first = first_->predict(pc);
+    const Prediction from_second = parts_[1]->predict(pc);
+    const Prediction from_first = parts_[0]->predict(pc);
 
     const bool prefer_second = counterFor(pc) >= 0;
 
@@ -56,8 +56,8 @@ HybridPredictor::predict(uint64_t pc) const
 void
 HybridPredictor::update(uint64_t pc, uint64_t actual)
 {
-    const Prediction from_second = second_->predict(pc);
-    const Prediction from_first = first_->predict(pc);
+    const Prediction from_second = parts_[1]->predict(pc);
+    const Prediction from_first = parts_[0]->predict(pc);
     const bool second_ok =
             from_second.valid && from_second.value == actual;
     const bool first_ok = from_first.valid && from_first.value == actual;
@@ -87,23 +87,25 @@ HybridPredictor::update(uint64_t pc, uint64_t actual)
 
     chooserFlips_ += (*counter >= 0) != prefer_second;
 
-    first_->update(pc, actual);
-    second_->update(pc, actual);
+    parts_[0]->update(pc, actual);
+    parts_[1]->update(pc, actual);
+}
+
+std::span<const SharedPredictor>
+HybridPredictor::components() const
+{
+    return parts_;
 }
 
 void
-HybridPredictor::evalBatch(const uint64_t *pcs, const uint64_t *values,
-                           size_t n, uint64_t *valid, uint64_t *correct)
+HybridPredictor::combineBatch(const uint64_t *pcs, size_t n,
+                              const OutcomeRows *rows, uint64_t *valid,
+                              uint64_t *correct)
 {
-    const size_t words = bits::words(n);
-    scratch_.assign(4 * words, 0);
-    uint64_t *first_valid = scratch_.data();
-    uint64_t *first_correct = first_valid + words;
-    uint64_t *second_valid = first_correct + words;
-    uint64_t *second_correct = second_valid + words;
-
-    second_->evalBatch(pcs, values, n, second_valid, second_correct);
-    first_->evalBatch(pcs, values, n, first_valid, first_correct);
+    const uint64_t *first_valid = rows[0].valid;
+    const uint64_t *first_correct = rows[0].correct;
+    const uint64_t *second_valid = rows[1].valid;
+    const uint64_t *second_correct = rows[1].correct;
 
     // The selection loop prefetches the chooser set a fixed distance
     // ahead of its probe — far enough to cover the miss, near enough
@@ -165,7 +167,7 @@ HybridPredictor::evalBatch(const uint64_t *pcs, const uint64_t *values,
 std::string
 HybridPredictor::name() const
 {
-    std::string s = "hyb(" + first_->name() + "+" + second_->name();
+    std::string s = "hyb(" + parts_[0]->name() + "+" + parts_[1]->name();
     if (chooser_.table)
         s += ";ch" + boundedSuffix(*chooser_.table);
     s += ")";
@@ -175,8 +177,8 @@ HybridPredictor::name() const
 void
 HybridPredictor::reset()
 {
-    first_->reset();
-    second_->reset();
+    parts_[0]->reset();
+    parts_[1]->reset();
     mapChooser_.clear();
     if (boundedChooser_)
         boundedChooser_->clear();
@@ -195,7 +197,7 @@ HybridPredictor::chooserEntries() const
 size_t
 HybridPredictor::tableEntries() const
 {
-    return first_->tableEntries() + second_->tableEntries() +
+    return parts_[0]->tableEntries() + parts_[1]->tableEntries() +
            chooserEntries();
 }
 
@@ -219,8 +221,8 @@ HybridPredictor::collectCounters(CounterSink &sink) const
     // Components report under their own family prefixes; two
     // same-family components accumulate into one metric (the sink's
     // documented same-name semantics).
-    first_->collectCounters(sink);
-    second_->collectCounters(sink);
+    parts_[0]->collectCounters(sink);
+    parts_[1]->collectCounters(sink);
 }
 
 } // namespace vp::core

@@ -15,9 +15,9 @@
 #ifndef VP_CORE_HYBRID_HH
 #define VP_CORE_HYBRID_HH
 
+#include <array>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "core/bounded_table.hh"
 #include "core/fcm.hh"
@@ -79,10 +79,18 @@ class HybridPredictor : public ValuePredictor
 
     /**
      * Composed hybrid over arbitrary components. @p first is chosen
-     * when the counter is negative, @p second otherwise.
+     * when the counter is negative, @p second otherwise. Components
+     * may be shared — with bank members of their own, with other
+     * hybrids, or with each other (hybrid(s2,s2) from
+     * exp::SpecInterner): the chooser only reads which component was
+     * right, never changes what it learns, so one copy trained once
+     * per event serves every holder. A hybrid whose components are
+     * shared is evaluated through sim::PredictorBank's node DAG, not
+     * through its own predict()/update() (or the default evalBatch()
+     * over them), which train each component they hold.
      * @throws std::invalid_argument when a component is null.
      */
-    HybridPredictor(PredictorPtr first, PredictorPtr second,
+    HybridPredictor(SharedPredictor first, SharedPredictor second,
                     HybridChooser chooser = {});
 
     Prediction predict(uint64_t pc) const override;
@@ -90,17 +98,18 @@ class HybridPredictor : public ValuePredictor
     std::string name() const override;
     void reset() override;
 
+    /** First and second component (rows 0 and 1 of combineBatch()). */
+    std::span<const SharedPredictor> components() const override;
+
     /**
-     * Batched evaluation: each component grades the whole batch with
-     * its own evalBatch (components never see the chooser, so their
-     * per-event pre-update gradings are exactly what the scalar
-     * update() recomputes), then a sequential chooser pass replays
-     * the scalar counter protocol and derives the hybrid's bits.
-     * One chooser touch per event instead of a peek plus a touch.
+     * The chooser over the components' rows: a sequential pass that
+     * replays the scalar counter protocol and derives the hybrid's
+     * bits. One chooser touch per event instead of a peek plus a
+     * touch.
      */
-    void evalBatch(const uint64_t *pcs, const uint64_t *values,
-                   size_t n, uint64_t *valid,
-                   uint64_t *correct) override;
+    void combineBatch(const uint64_t *pcs, size_t n,
+                      const OutcomeRows *rows, uint64_t *valid,
+                      uint64_t *correct) override;
 
     /** Chooser entries + both components (honest §4.3 accounting). */
     size_t tableEntries() const override;
@@ -130,15 +139,15 @@ class HybridPredictor : public ValuePredictor
     /** Current counter for @p pc without touching recency. */
     int counterFor(uint64_t pc) const;
 
-    PredictorPtr first_;        ///< chosen when counter < 0
-    PredictorPtr second_;       ///< chosen when counter >= 0
+    /** {first, second}: first chosen when the counter is < 0, second
+     *  when it is >= 0. */
+    std::array<SharedPredictor, 2> parts_;
     HybridChooser chooser_;
     std::unordered_map<uint64_t, int> mapChooser_;      // unbounded
     std::optional<BoundedTable<ChooserEntry>> boundedChooser_;
     uint64_t choseSecond_ = 0;
     uint64_t choices_ = 0;
     uint64_t chooserFlips_ = 0;
-    std::vector<uint64_t> scratch_;     ///< component bit rows
 };
 
 } // namespace vp::core

@@ -1,5 +1,7 @@
 #include "core/predictor.hh"
 
+#include <stdexcept>
+
 namespace vp::core {
 
 void
@@ -15,6 +17,19 @@ ValuePredictor::evalBatch(const uint64_t *pcs, const uint64_t *values,
         }
         update(pcs[i], values[i]);
     }
+}
+
+std::span<const SharedPredictor>
+ValuePredictor::components() const
+{
+    return {};
+}
+
+void
+ValuePredictor::combineBatch(const uint64_t *, size_t, const OutcomeRows *,
+                             uint64_t *, uint64_t *)
+{
+    throw std::logic_error(name() + " has no components to combine");
 }
 
 void

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 namespace vp::core {
@@ -64,6 +65,23 @@ struct Prediction
     }
 };
 
+class ValuePredictor;
+
+/**
+ * A predictor other predictors may hold: a confidence gate's inner, a
+ * hybrid's components, a node of a bank's shared evaluation DAG
+ * (sim::PredictorBank). A unique PredictorPtr converts to it.
+ */
+using SharedPredictor = std::shared_ptr<ValuePredictor>;
+
+/** One predictor's outcome rows for a batch, as combineBatch() reads
+ *  its components' (bits::words(n) words each). */
+struct OutcomeRows
+{
+    const uint64_t *valid = nullptr;
+    const uint64_t *correct = nullptr;
+};
+
 /**
  * Interface implemented by every predictor model.
  *
@@ -109,7 +127,7 @@ class ValuePredictor
      * caller-zeroed (bits::words(n) words each).
      *
      * The default loops the virtual predict/update pair, so every
-     * predictor is batch-correct by construction; the families
+     * predictor is batch-correct by construction; the leaf families
      * override it with devirtualised loops that also skip redundant
      * table probes the separate predict()/update() calls must repeat.
      * Overrides must preserve the scalar path's observable semantics
@@ -120,6 +138,30 @@ class ValuePredictor
      */
     virtual void evalBatch(const uint64_t *pcs, const uint64_t *values,
                            size_t n, uint64_t *valid, uint64_t *correct);
+
+    /**
+     * The predictors this one combines, in combineBatch() row order:
+     * a confidence gate's inner, a hybrid's first and second
+     * component. Empty (the default) for a leaf family, whose
+     * evalBatch() does its own table work.
+     */
+    virtual std::span<const SharedPredictor> components() const;
+
+    /**
+     * A composite's batched logic: given every component's
+     * valid/correct rows for this batch (@p rows, one entry per
+     * components() element, already evaluated), run this predictor's
+     * own per-event logic — gate counters, chooser — and set its
+     * @p valid / @p correct bits (caller-zeroed). Components never
+     * see what combines them, so their rows are the same whether
+     * they were evaluated for this predictor alone or once for many.
+     * That is what lets sim::PredictorBank, its only caller, evaluate
+     * a component shared by many composites once per batch. Leaves
+     * have no components; the default throws std::logic_error.
+     */
+    virtual void combineBatch(const uint64_t *pcs, size_t n,
+                              const OutcomeRows *rows, uint64_t *valid,
+                              uint64_t *correct);
 
     /**
      * Dump internal counters (evictions, occupancy, probe depths,

@@ -367,13 +367,7 @@ PredictorSpec::canonicalName() const
         s = core::stridePolicyName(stride.policy);
         break;
       case SpecFamily::Fcm:
-        s = "fcm" + std::to_string(fcm.order);
-        if (fcm.blending == core::FcmBlending::None)
-            s += "-pure";
-        else if (fcm.blending == core::FcmBlending::Full)
-            s += "-full";
-        else if (fcm.counterMax != 0)
-            s += "-sat";
+        s = core::fcmVariantName(fcm);
         break;
       case SpecFamily::Hybrid:
         if (!chooser && components == defaultHybridComponents()) {
@@ -403,51 +397,81 @@ PredictorSpec::canonicalName() const
 
 // ------------------------------------------------------------ build
 
+namespace {
+
+/**
+ * Construct @p spec's own node, taking each sub-predictor — a gate's
+ * ungated inner, a hybrid's components — from @p sub. The one copy of
+ * the spec -> predictor mapping: PredictorSpec::build() passes a @p sub
+ * that builds fresh, SpecInterner one that shares.
+ */
+template <typename Sub>
+core::PredictorPtr
+buildNode(const PredictorSpec &spec, Sub &&sub)
+{
+    using namespace core;
+    if (spec.confidence) {
+        PredictorSpec inner = spec;
+        inner.confidence.reset();
+        return std::make_unique<ConfidencePredictor>(sub(inner),
+                                                     *spec.confidence);
+    }
+    switch (spec.family) {
+      case SpecFamily::LastValue:
+        if (spec.table) {
+            return std::make_unique<BoundedLastValuePredictor>(
+                    spec.lv, spec.table->config());
+        }
+        return std::make_unique<LastValuePredictor>(spec.lv);
+      case SpecFamily::Stride:
+        if (spec.table) {
+            return std::make_unique<BoundedStridePredictor>(
+                    spec.stride, spec.table->config());
+        }
+        return std::make_unique<StridePredictor>(spec.stride);
+      case SpecFamily::Fcm:
+        if (spec.table) {
+            BoundedFcmConfig config;
+            config.fcm = spec.fcm;
+            config.vht = spec.table->config();
+            config.vpt = spec.table->config();
+            config.vpt.entries = *spec.vptEntries;
+            config.maxFollowers = 4;    // realistic per-entry budget
+            return std::make_unique<BoundedFcmPredictor>(config);
+        }
+        return std::make_unique<FcmPredictor>(spec.fcm);
+      case SpecFamily::Hybrid: {
+        HybridChooser ch;
+        if (spec.chooser)
+            ch.table = spec.chooser->config();
+        return std::make_unique<HybridPredictor>(
+                sub(spec.components.at(0)), sub(spec.components.at(1)),
+                ch);
+      }
+    }
+    throw std::logic_error("unhandled spec family");
+}
+
+} // anonymous namespace
+
 core::PredictorPtr
 PredictorSpec::build() const
 {
-    using namespace core;
-    PredictorPtr built;
-    switch (family) {
-      case SpecFamily::LastValue:
-        built = table ? std::make_unique<BoundedLastValuePredictor>(
-                                lv, table->config())
-                      : PredictorPtr(
-                                std::make_unique<LastValuePredictor>(lv));
-        break;
-      case SpecFamily::Stride:
-        built = table ? std::make_unique<BoundedStridePredictor>(
-                                stride, table->config())
-                      : PredictorPtr(
-                                std::make_unique<StridePredictor>(stride));
-        break;
-      case SpecFamily::Fcm:
-        if (table) {
-            BoundedFcmConfig config;
-            config.fcm = fcm;
-            config.vht = table->config();
-            config.vpt = table->config();
-            config.vpt.entries = *vptEntries;
-            config.maxFollowers = 4;    // realistic per-entry budget
-            built = std::make_unique<BoundedFcmPredictor>(config);
-        } else {
-            built = std::make_unique<FcmPredictor>(fcm);
-        }
-        break;
-      case SpecFamily::Hybrid: {
-        HybridChooser ch;
-        if (chooser)
-            ch.table = chooser->config();
-        built = std::make_unique<HybridPredictor>(
-                components.at(0).build(), components.at(1).build(), ch);
-        break;
-      }
-    }
-    if (confidence) {
-        built = std::make_unique<ConfidencePredictor>(std::move(built),
-                                                      *confidence);
-    }
-    return built;
+    return buildNode(*this, [](const PredictorSpec &sub) {
+        return core::SharedPredictor(sub.build());
+    });
+}
+
+core::SharedPredictor
+SpecInterner::build(const PredictorSpec &spec)
+{
+    std::string key = spec.canonicalName();
+    if (const auto it = built_.find(key); it != built_.end())
+        return it->second;
+    core::SharedPredictor node = buildNode(
+            spec, [this](const PredictorSpec &sub) { return build(sub); });
+    built_.emplace(std::move(key), node);
+    return node;
 }
 
 // ------------------------------------------------------------- help

@@ -15,7 +15,8 @@
  * unique canonical spelling (parse -> canonical -> parse is the
  * identity, the property tests/spec_test.cc sweeps), and `build`
  * constructs the predictor. `exp::makePredictor` (suite.hh) is a thin
- * shim over parseSpec().build().
+ * shim over parseSpec().build(); SpecInterner builds whole banks with
+ * every shared sub-predictor built once (exp::addSpecs).
  *
  * The grammar itself is documented once, in specGrammarHelp() — the
  * text `vpexp --spec-help` and `vpsim list` print. Examples:
@@ -31,6 +32,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/bounded_table.hh"
@@ -133,6 +135,30 @@ struct PredictorSpec
 
     friend bool operator==(const PredictorSpec &,
                            const PredictorSpec &) = default;
+};
+
+/**
+ * Builds many specs into one shared predictor DAG: every spec and
+ * sub-spec (a gate's ungated inner, a hybrid's components) is built
+ * once, keyed by canonicalName(), and every later request for the
+ * same canonical spelling returns the same object. The confidence
+ * sweep's 72 specs become 5 leaf predictors, the hybrid over two of
+ * them, and 66 gates over those six. A canonical name determines its
+ * spec exactly (the round-trip property above), so one name means one
+ * behaviour; ValuePredictor::name() is only a display label.
+ *
+ * Shared predictors must be trained once per event by one owner —
+ * sim::PredictorBank, whose add() finds the sharing by pointer
+ * identity and evaluates each node once per batch.
+ */
+class SpecInterner
+{
+  public:
+    /** The predictor for @p spec, built on first request. */
+    core::SharedPredictor build(const PredictorSpec &spec);
+
+  private:
+    std::unordered_map<std::string, core::SharedPredictor> built_;
 };
 
 /**

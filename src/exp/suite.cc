@@ -24,6 +24,14 @@ makePredictor(const std::string &spec)
     return parseSpec(spec).build();
 }
 
+void
+addSpecs(sim::PredictorBank &bank, const std::vector<std::string> &specs)
+{
+    SpecInterner interner;
+    for (const auto &spec : specs)
+        bank.add(interner.build(parseSpec(spec)));
+}
+
 double
 BenchmarkRun::accuracyPct(size_t index) const
 {
@@ -230,13 +238,16 @@ collectTraceIo(const vm::Vpt2Reader &reader, obs::Instrumentation *obs)
     obs::add(obs, "trace.io.deflated_blocks", io.deflatedBlocks);
 }
 
-/** Pull every bank member's internal counters into the registry. */
+/** Pull the bank's shape and every member's internal counters into
+ *  the registry. */
 void
 collectBankCounters(const sim::PredictorBank &bank,
                     obs::Instrumentation *obs)
 {
     if (obs == nullptr || obs->registry() == nullptr)
         return;
+    obs::add(obs, "bank.members", bank.size());
+    obs::add(obs, "bank.nodes", bank.nodeCount());
     obs::RegistrySink sink(*obs->registry());
     bank.collectCounters(sink);
 }
@@ -305,8 +316,7 @@ runBenchmark(const std::string &name, const SuiteOptions &options)
     const auto prog = info.build(options.config);
 
     sim::PredictorBank bank;
-    for (const auto &spec : options.predictors)
-        bank.add(makePredictor(spec));
+    addSpecs(bank, options.predictors);
     if (options.overlap > 0)
         bank.trackOverlap(options.overlap);
     if (options.improvementA != options.improvementB)

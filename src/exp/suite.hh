@@ -45,6 +45,20 @@ namespace vp::exp {
  */
 core::PredictorPtr makePredictor(const std::string &spec);
 
+/**
+ * Add one member per spec to @p bank, in order, all built by one
+ * SpecInterner (exp/spec.hh): a sub-predictor several specs share —
+ * the base under a confidence sweep's gates, a hybrid's components
+ * that are also members — is built once and becomes one bank node,
+ * evaluated once per batch. Member statistics are byte-identical to
+ * adding makePredictor(spec) for each spec. Every multi-spec bank in
+ * the repo is filled this way.
+ *
+ * @throws std::invalid_argument for malformed specs.
+ */
+void addSpecs(sim::PredictorBank &bank,
+              const std::vector<std::string> &specs);
+
 /** What to run and what to observe. */
 struct SuiteOptions
 {

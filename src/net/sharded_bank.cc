@@ -51,9 +51,10 @@ ShardedBankMap::applyOne(uint64_t tenant, const vm::TraceEvent &event)
     const util::MutexLock lock(stripe.mutex, std::adopt_lock);
     TenantBank &tb = bankFor(stripe, key);
 
-    // The scalar protocol, exactly as PredictorBank::onValue runs it
-    // for a single member (minus the trackers a serving bank never
-    // enables): predict, grade, update.
+    // The per-event protocol on the tenant's single member (a serving
+    // bank enables no trackers): predict, grade, update — the
+    // reference the bank's batch path is pinned to
+    // (batched_equivalence_test).
     auto &member = tb.bank.member(0);
     const auto pred = member.predictor->predict(event.pc);
     const bool correct = pred.valid && pred.value == event.value;

@@ -8,8 +8,29 @@
 namespace vp::sim {
 
 size_t
-PredictorBank::add(core::PredictorPtr predictor)
+PredictorBank::intern(const core::SharedPredictor &predictor)
 {
+    if (const auto it = nodeOf_.find(predictor.get());
+        it != nodeOf_.end()) {
+        return it->second;
+    }
+    // Post-order: every child's node exists (and is evaluated) before
+    // its parent's.
+    std::vector<size_t> children;
+    for (const auto &component : predictor->components())
+        children.push_back(intern(component));
+
+    nodes_.push_back(Node{predictor, children_.size(), children.size()});
+    children_.insert(children_.end(), children.begin(), children.end());
+    childRows_.resize(std::max(childRows_.size(), children.size()));
+    nodeOf_.emplace(predictor.get(), nodes_.size() - 1);
+    return nodes_.size() - 1;
+}
+
+size_t
+PredictorBank::add(core::SharedPredictor predictor)
+{
+    memberNode_.push_back(intern(predictor));
     members_.push_back(EvaluatedPredictor{std::move(predictor), {}});
     return members_.size() - 1;
 }
@@ -43,36 +64,7 @@ PredictorBank::trackValues()
 void
 PredictorBank::onValue(const vm::TraceEvent &event)
 {
-    scratchCorrect_.reset(1, members_.size());
-    uint64_t *correct_bits = scratchCorrect_.row(0);
-
-    for (size_t i = 0; i < members_.size(); ++i) {
-        auto &member = members_[i];
-        const auto pred = member.predictor->predict(event.pc);
-        const bool correct = pred.valid && pred.value == event.value;
-        member.stats.record(event.cat, pred.valid, correct);
-        if (correct)
-            core::bits::set(correct_bits, i);
-        member.predictor->update(event.pc, event.value);
-    }
-
-    if (overlap_) {
-        uint32_t mask = 0;
-        for (int i = 0; i < overlap_->numPredictors(); ++i) {
-            if (core::bits::test(correct_bits, static_cast<size_t>(i)))
-                mask |= 1u << i;
-        }
-        overlap_->record(event.cat, mask);
-    }
-
-    if (improvement_) {
-        improvement_->record(event.pc, event.cat,
-                             core::bits::test(correct_bits, improveA_),
-                             core::bits::test(correct_bits, improveB_));
-    }
-
-    if (values_)
-        values_->record(event.pc, event.cat, event.value);
+    onBatch(vm::TraceSpan(&event, 1));
 }
 
 void
@@ -91,25 +83,39 @@ PredictorBank::onBatch(vm::TraceSpan batch)
         batchValues_[i] = batch[i].value;
     }
 
-    batchValid_.reset(members_.size(), n);
-    batchCorrect_.reset(members_.size(), n);
+    batchValid_.reset(nodes_.size(), n);
+    batchCorrect_.reset(nodes_.size(), n);
 
-    // One virtual dispatch per (member, batch); each family's
-    // override runs its devirtualised inner loop.
-    for (size_t m = 0; m < members_.size(); ++m) {
-        members_[m].predictor->evalBatch(batchPcs_.data(),
-                                         batchValues_.data(), n,
-                                         batchValid_.row(m),
-                                         batchCorrect_.row(m));
+    // Each node once, children first: one virtual dispatch per
+    // (node, batch). Leaves run their family's devirtualised loop;
+    // composites combine the rows their children just produced.
+    for (size_t k = 0; k < nodes_.size(); ++k) {
+        const Node &node = nodes_[k];
+        if (node.childCount == 0) {
+            node.predictor->evalBatch(batchPcs_.data(),
+                                      batchValues_.data(), n,
+                                      batchValid_.row(k),
+                                      batchCorrect_.row(k));
+            continue;
+        }
+        for (size_t c = 0; c < node.childCount; ++c) {
+            const size_t child = children_[node.firstChild + c];
+            childRows_[c] = {batchValid_.row(child),
+                             batchCorrect_.row(child)};
+        }
+        node.predictor->combineBatch(batchPcs_.data(), n,
+                                     childRows_.data(),
+                                     batchValid_.row(k),
+                                     batchCorrect_.row(k));
     }
 
     // Statistics and trackers are pure accumulators over the outcome
     // bits, so feeding them member-major here produces exactly the
-    // state the event-major scalar loop builds.
+    // state an event-major loop builds.
     for (size_t m = 0; m < members_.size(); ++m) {
         auto &member = members_[m];
-        const uint64_t *valid = batchValid_.row(m);
-        const uint64_t *correct = batchCorrect_.row(m);
+        const uint64_t *valid = batchValid_.row(memberNode_[m]);
+        const uint64_t *correct = batchCorrect_.row(memberNode_[m]);
         for (size_t i = 0; i < n; ++i) {
             member.stats.record(batch[i].cat, core::bits::test(valid, i),
                                 core::bits::test(correct, i));
@@ -120,19 +126,17 @@ PredictorBank::onBatch(vm::TraceSpan batch)
         for (size_t i = 0; i < n; ++i) {
             uint32_t mask = 0;
             for (int m = 0; m < overlap_->numPredictors(); ++m) {
-                if (core::bits::test(
-                            batchCorrect_.row(static_cast<size_t>(m)),
-                            i)) {
+                const size_t node = memberNode_[static_cast<size_t>(m)];
+                if (core::bits::test(batchCorrect_.row(node), i))
                     mask |= 1u << m;
-                }
             }
             overlap_->record(batch[i].cat, mask);
         }
     }
 
     if (improvement_) {
-        const uint64_t *a = batchCorrect_.row(improveA_);
-        const uint64_t *b = batchCorrect_.row(improveB_);
+        const uint64_t *a = batchCorrect_.row(memberNode_[improveA_]);
+        const uint64_t *b = batchCorrect_.row(memberNode_[improveB_]);
         for (size_t i = 0; i < n; ++i) {
             improvement_->record(batch[i].pc, batch[i].cat,
                                  core::bits::test(a, i),
@@ -161,14 +165,6 @@ PredictorBank::indexOf(const std::string &name) const
             return static_cast<int>(i);
     }
     return -1;
-}
-
-void
-replayTrace(const std::vector<vm::TraceEvent> &events,
-            PredictorBank &bank)
-{
-    for (const auto &event : events)
-        bank.onValue(event);
 }
 
 namespace {
@@ -236,16 +232,58 @@ replayTrace(vm::TraceBatchSource &source, PredictorBank &bank,
     return n;
 }
 
+namespace {
+
+/**
+ * Collects a live run's events and hands them to the bank in spans,
+ * so a run on the VM takes the same batched path as trace replay
+ * instead of a one-event onBatch() per retired instruction.
+ */
+class BatchingSink : public vm::TraceSink
+{
+  public:
+    explicit BatchingSink(PredictorBank &bank) : bank_(bank)
+    {
+        events_.reserve(kBatch);
+    }
+
+    void
+    onValue(const vm::TraceEvent &event) override
+    {
+        events_.push_back(event);
+        if (events_.size() == kBatch)
+            flush();
+    }
+
+    /** Evaluate the buffered events. */
+    void
+    flush()
+    {
+        bank_.onBatch(vm::TraceSpan(events_.data(), events_.size()));
+        events_.clear();
+    }
+
+  private:
+    static constexpr size_t kBatch = 4096;
+
+    PredictorBank &bank_;
+    std::vector<vm::TraceEvent> events_;
+};
+
+} // anonymous namespace
+
 RunOutcome
 runProgram(const isa::Program &prog, PredictorBank &bank,
            vm::MachineConfig config)
 {
     vm::Machine machine(config);
-    machine.setSink(&bank);
+    BatchingSink sink(bank);
+    machine.setSink(&sink);
 
     RunOutcome outcome;
     outcome.workload = prog.name;
     outcome.vmResult = machine.run(prog);
+    sink.flush();
     outcome.staticPredicted = prog.countPredictedStatic();
     for (int c = 0; c < isa::numCategories; ++c) {
         outcome.staticByCategory[c] =

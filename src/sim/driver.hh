@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/improvement.hh"
@@ -58,10 +59,10 @@ class OutcomeBits
     size_t rowWords_ = 0;
 };
 
-/** One predictor under evaluation together with its statistics. */
+/** One bank member: its predictor and its statistics. */
 struct EvaluatedPredictor
 {
-    core::PredictorPtr predictor;
+    core::SharedPredictor predictor;
     core::PredictionStats stats;
 };
 
@@ -74,12 +75,30 @@ struct EvaluatedPredictor
  * Optionally an OverlapTracker (Figure 8), an ImprovementTracker
  * (Figure 9, comparing two named members of the bank) and a
  * ValueProfiler (Figure 10) observe the same pass.
+ *
+ * Members are evaluated as a DAG of shared nodes. add() walks each
+ * member's predictor and its components (core::ValuePredictor::
+ * components(): a gate's inner, a hybrid's two components) and
+ * gives every distinct predictor — by address — one node, children
+ * before parents. Per batch, every leaf node grades the events with
+ * its evalBatch() and every composite node combines its children's
+ * rows with combineBatch(), so a predictor shared by many members
+ * (exp::SpecInterner builds the confidence sweep's 66 gates over 6
+ * shared bases) is evaluated once, not once per member. Members
+ * record their statistics from their node's rows. A composite added
+ * on its own (a plain makePredictor() result) is split into nodes
+ * too; every member's results are those of its predictor's own
+ * per-event predict()/update() loop.
  */
 class PredictorBank : public vm::TraceSink
 {
   public:
-    /** Add a predictor; returns its index in the bank. */
-    size_t add(core::PredictorPtr predictor);
+    /**
+     * Add a member; returns its index in the bank. The predictor and
+     * every component reachable from it join the node DAG; a
+     * predictor already in it (the same object) is reused.
+     */
+    size_t add(core::SharedPredictor predictor);
 
     /** Enable overlap tracking over the first @p n predictors (<=8). */
     void trackOverlap(int n);
@@ -94,20 +113,30 @@ class PredictorBank : public vm::TraceSink
     /** Enable unique-value profiling (Figure 10). */
     void trackValues();
 
+    /**
+     * One event: onBatch() over a one-event span. The bank has one
+     * evaluation path, and batch size 1 is pinned byte-identical to
+     * every other (batched_equivalence_test).
+     */
     void onValue(const vm::TraceEvent &event) override;
 
     /**
      * Batched evaluation of a span of events: one virtual dispatch
-     * per (predictor, batch) instead of two per (predictor, event),
-     * then the trackers are fed per event from the outcome bit rows.
-     * Bit-for-bit the same statistics and tracker state as the
-     * per-event protocol — batched_equivalence_test pins this.
+     * per (node, batch) instead of two per (predictor, event), then
+     * member statistics and the trackers are fed per event from the
+     * nodes' outcome bit rows. Bit-for-bit the statistics and tracker
+     * state of each predictor's own per-event predict()/update()
+     * protocol, at every batch size — batched_equivalence_test and
+     * shared_bank_test pin this.
      */
     void onBatch(vm::TraceSpan batch) override;
 
     size_t size() const { return members_.size(); }
     const EvaluatedPredictor &member(size_t i) const { return members_[i]; }
     EvaluatedPredictor &member(size_t i) { return members_[i]; }
+
+    /** Distinct predictors evaluated per batch (DAG nodes). */
+    size_t nodeCount() const { return nodes_.size(); }
 
     /** Find a member by predictor name; -1 when absent. */
     int indexOf(const std::string &name) const;
@@ -116,7 +145,9 @@ class PredictorBank : public vm::TraceSink
      * Pull every member's internal counters into @p sink (see
      * ValuePredictor::collectCounters). Members share the sink, so
      * same-family members accumulate into one metric per name —
-     * family prefixes keep different families apart.
+     * family prefixes keep different families apart. A shared
+     * component reports once per member that reaches it, exactly as
+     * unshared copies would.
      */
     void collectCounters(core::CounterSink &sink) const;
 
@@ -131,18 +162,33 @@ class PredictorBank : public vm::TraceSink
     }
 
   private:
+    /** One distinct predictor; its children are
+     *  children_[firstChild, firstChild + childCount). */
+    struct Node
+    {
+        core::SharedPredictor predictor;
+        size_t firstChild = 0;
+        size_t childCount = 0;
+    };
+
+    /** The node of @p predictor, adding it (children first) when new. */
+    size_t intern(const core::SharedPredictor &predictor);
+
     std::vector<EvaluatedPredictor> members_;
+    std::vector<size_t> memberNode_;    ///< member -> node
+    std::vector<Node> nodes_;           ///< children before parents
+    std::vector<size_t> children_;
+    std::unordered_map<const core::ValuePredictor *, size_t> nodeOf_;
+
     std::unique_ptr<core::OverlapTracker> overlap_;
     std::optional<core::ImprovementTracker> improvement_;
     size_t improveA_ = 0, improveB_ = 0;
     std::optional<core::ValueProfiler> values_;
 
-    /** Scalar path: one row, one correctness bit per member. */
-    OutcomeBits scratchCorrect_;
-
-    /** Batch path: one row per member, one bit per event. */
+    /** One valid and one correct row per node, one bit per event. */
     OutcomeBits batchValid_, batchCorrect_;
     std::vector<uint64_t> batchPcs_, batchValues_;
+    std::vector<core::OutcomeRows> childRows_;
 };
 
 /** Everything produced by one simulated benchmark run. */
@@ -155,23 +201,16 @@ struct RunOutcome
 };
 
 /**
- * Run @p prog on a fresh machine with @p bank attached as the trace
- * sink.
+ * Run @p prog on a fresh machine and evaluate its value trace in
+ * @p bank. The events reach PredictorBank::onBatch in spans of up to
+ * 4096, exactly as a replay of the recorded trace would; batch
+ * geometry never changes a result.
  *
  * @throws std::runtime_error if the program does not halt cleanly
  * (workloads are deterministic; anything else is a bug).
  */
 RunOutcome runProgram(const isa::Program &prog, PredictorBank &bank,
                       vm::MachineConfig config = {});
-
-/**
- * Replay a recorded value trace into @p bank — the paper's original
- * trace-driven methodology: run the VM once, evaluate many predictor
- * banks against the same stream. This is the per-event reference
- * path the streaming batched replay below is tested against.
- */
-void replayTrace(const std::vector<vm::TraceEvent> &events,
-                 PredictorBank &bank);
 
 /**
  * One windowed-telemetry sample: every bank member's statistics delta
@@ -207,10 +246,14 @@ struct WindowSeries
 };
 
 /**
- * Streaming batched replay: drain @p source span by span through
- * PredictorBank::onBatch. Memory stays bounded by the source's block
- * size regardless of trace length (pair with vm::ReaderBatchSource to
- * stream a trace file). Returns the number of events replayed.
+ * Replay a recorded value trace into @p bank — the paper's
+ * trace-driven methodology: run the VM once, evaluate many predictor
+ * banks against the same stream. Drains @p source span by span
+ * through PredictorBank::onBatch, so memory stays bounded by the
+ * source's block size regardless of trace length (pair with
+ * vm::ReaderBatchSource to stream a trace file, or
+ * vm::VectorBatchSource for events already in memory). Returns the
+ * number of events replayed.
  *
  * @param obs optional instrumentation: batch-fill histogram and
  *        replay event/batch counters (null = off, zero extra work

@@ -11,6 +11,10 @@
  * and ungated, hybrids with bounded choosers, at every batch size.
  * The only sanctioned divergence is the aliasedPeeks() diagnostic,
  * which counts probes the batch path legitimately elides.
+ *
+ * The reference is each standalone predictor's own predict()/update()
+ * loop (scalarReplay below), not a bank: the bank has one evaluation
+ * path, and its one-event onValue() is batch size 1 of it.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +49,24 @@ replayBatched(const std::vector<vm::TraceEvent> &events,
 {
     vm::VectorBatchSource source(events, batch);
     sim::replayTrace(source, bank);
+}
+
+/**
+ * The per-event reference protocol on one standalone predictor:
+ * predict, grade, update — the loop in core/predictor.hh.
+ */
+PredictionStats
+scalarReplay(const std::vector<vm::TraceEvent> &events,
+             ValuePredictor &pred)
+{
+    PredictionStats stats;
+    for (const auto &event : events) {
+        const Prediction p = pred.predict(event.pc);
+        stats.record(event.cat, p.valid,
+                     p.valid && p.value == event.value);
+        pred.update(event.pc, event.value);
+    }
+    return stats;
 }
 
 struct WorkloadTrace
@@ -129,9 +151,9 @@ TEST(BatchedEquivalence, EveryFamilyMatchesScalarAtEveryBatchSize)
         for (const auto &spec : specsUnderTest()) {
             SCOPED_TRACE(spec);
 
-            sim::PredictorBank scalar;
-            scalar.add(exp::makePredictor(spec));
-            sim::replayTrace(trace.events, scalar);
+            const auto scalar = exp::makePredictor(spec);
+            const PredictionStats scalar_stats =
+                    scalarReplay(trace.events, *scalar);
 
             for (const size_t batch : kBatchSizes) {
                 SCOPED_TRACE("batch " + std::to_string(batch));
@@ -141,26 +163,60 @@ TEST(BatchedEquivalence, EveryFamilyMatchesScalarAtEveryBatchSize)
                 replayBatched(trace.events, batched, batch);
 
                 expectIdenticalStats(batched.member(0).stats,
-                                     scalar.member(0).stats);
+                                     scalar_stats);
                 EXPECT_EQ(batched.member(0).predictor->tableEntries(),
-                          scalar.member(0).predictor->tableEntries());
+                          scalar->tableEntries());
             }
         }
     }
 }
 
-/** Build the Figure 8/9/10 bank: {l, s2, fcm3} with every tracker. */
+/** The Figure 8/9/10 members: {l, s2, fcm3}. */
+const std::vector<std::string> kTrackedSpecs = {"l", "s2", "fcm3"};
+
+/** Build the Figure 8/9/10 bank: kTrackedSpecs with every tracker. */
 sim::PredictorBank
 makeTrackedBank()
 {
     sim::PredictorBank bank;
-    bank.add(exp::makePredictor("l"));
-    bank.add(exp::makePredictor("s2"));
-    bank.add(exp::makePredictor("fcm3"));
+    exp::addSpecs(bank, kTrackedSpecs);
     bank.trackOverlap(3);
     bank.trackImprovement(2, 1);        // fcm vs stride, Figure 9
     bank.trackValues();
     return bank;
+}
+
+/** The reference trackers, fed by the three predictors' own
+ *  per-event protocol, event-major. */
+struct ScalarTrackers
+{
+    OverlapTracker overlap{3};
+    ImprovementTracker improvement;
+    ValueProfiler values;
+};
+
+ScalarTrackers
+scalarTrackers(const std::vector<vm::TraceEvent> &events)
+{
+    std::vector<PredictorPtr> preds;
+    for (const auto &spec : kTrackedSpecs)
+        preds.push_back(exp::makePredictor(spec));
+    ScalarTrackers out;
+    for (const auto &event : events) {
+        bool correct[3] = {};
+        uint32_t mask = 0;
+        for (size_t m = 0; m < preds.size(); ++m) {
+            const Prediction p = preds[m]->predict(event.pc);
+            correct[m] = p.valid && p.value == event.value;
+            mask |= correct[m] ? 1u << m : 0u;
+            preds[m]->update(event.pc, event.value);
+        }
+        out.overlap.record(event.cat, mask);
+        out.improvement.record(event.pc, event.cat, correct[2],
+                               correct[1]);
+        out.values.record(event.pc, event.cat, event.value);
+    }
+    return out;
 }
 
 TEST(BatchedEquivalence, TrackersMatchScalarBitForBit)
@@ -168,8 +224,7 @@ TEST(BatchedEquivalence, TrackersMatchScalarBitForBit)
     for (const auto &trace : traces()) {
         SCOPED_TRACE(trace.name);
 
-        auto scalar = makeTrackedBank();
-        sim::replayTrace(trace.events, scalar);
+        const ScalarTrackers scalar = scalarTrackers(trace.events);
 
         for (const size_t batch : kBatchSizes) {
             SCOPED_TRACE("batch " + std::to_string(batch));
@@ -180,15 +235,15 @@ TEST(BatchedEquivalence, TrackersMatchScalarBitForBit)
             // Figure 8: every overlap bucket, overall and per category.
             ASSERT_NE(batched.overlap(), nullptr);
             EXPECT_EQ(batched.overlap()->total(),
-                      scalar.overlap()->total());
+                      scalar.overlap.total());
             for (uint32_t mask = 0; mask < 8; ++mask) {
                 EXPECT_EQ(batched.overlap()->bucket(mask),
-                          scalar.overlap()->bucket(mask))
+                          scalar.overlap.bucket(mask))
                         << "mask " << mask;
                 for (int c = 0; c < isa::numCategories; ++c) {
                     const auto cat = static_cast<isa::Category>(c);
                     EXPECT_EQ(batched.overlap()->bucket(cat, mask),
-                              scalar.overlap()->bucket(cat, mask))
+                              scalar.overlap.bucket(cat, mask))
                             << "mask " << mask << " category " << c;
                 }
             }
@@ -196,9 +251,9 @@ TEST(BatchedEquivalence, TrackersMatchScalarBitForBit)
             // Figure 9: identical per-PC cells give an identical curve.
             ASSERT_NE(batched.improvement(), nullptr);
             EXPECT_EQ(batched.improvement()->staticCount(),
-                      scalar.improvement()->staticCount());
+                      scalar.improvement.staticCount());
             const auto curve_b = batched.improvement()->curve();
-            const auto curve_s = scalar.improvement()->curve();
+            const auto curve_s = scalar.improvement.curve();
             ASSERT_EQ(curve_b.size(), curve_s.size());
             for (size_t i = 0; i < curve_b.size(); ++i) {
                 EXPECT_EQ(curve_b[i].staticPct, curve_s[i].staticPct);
@@ -209,9 +264,9 @@ TEST(BatchedEquivalence, TrackersMatchScalarBitForBit)
             // Figure 10: identical unique-value distributions.
             ASSERT_NE(batched.values(), nullptr);
             EXPECT_EQ(batched.values()->staticCount(),
-                      scalar.values()->staticCount());
+                      scalar.values.staticCount());
             const auto dist_b = batched.values()->distribution();
-            const auto dist_s = scalar.values()->distribution();
+            const auto dist_s = scalar.values.distribution();
             for (int b = 0; b < ValueProfiler::numBuckets; ++b) {
                 EXPECT_EQ(dist_b.staticShare[b], dist_s.staticShare[b])
                         << "bucket " << b;
@@ -244,15 +299,11 @@ TEST(BatchedEquivalence, BoundedCountersMatchScalar)
     for (const auto &trace : traces()) {
         SCOPED_TRACE(trace.name);
 
-        sim::PredictorBank scalar;
-        auto lv_s = std::make_unique<BoundedLastValuePredictor>(
-                LvConfig{}, tiny);
-        auto fcm_s = std::make_unique<BoundedFcmPredictor>(fcm_config);
-        const auto *lv_sp = lv_s.get();
-        const auto *fcm_sp = fcm_s.get();
-        scalar.add(std::move(lv_s));
-        scalar.add(std::move(fcm_s));
-        sim::replayTrace(trace.events, scalar);
+        BoundedLastValuePredictor lv_s(LvConfig{}, tiny);
+        BoundedFcmPredictor fcm_s(fcm_config);
+        const PredictionStats lv_stats = scalarReplay(trace.events, lv_s);
+        const PredictionStats fcm_stats =
+                scalarReplay(trace.events, fcm_s);
 
         for (const size_t batch : kBatchSizes) {
             SCOPED_TRACE("batch " + std::to_string(batch));
@@ -268,27 +319,25 @@ TEST(BatchedEquivalence, BoundedCountersMatchScalar)
             batched.add(std::move(fcm_b));
             replayBatched(trace.events, batched, batch);
 
-            EXPECT_EQ(lv_bp->evictions(), lv_sp->evictions());
+            EXPECT_EQ(lv_bp->evictions(), lv_s.evictions());
             EXPECT_EQ(lv_bp->table().aliasedTouches(),
-                      lv_sp->table().aliasedTouches());
+                      lv_s.table().aliasedTouches());
             EXPECT_EQ(lv_bp->table().aliasConstructive(),
-                      lv_sp->table().aliasConstructive());
+                      lv_s.table().aliasConstructive());
             EXPECT_EQ(lv_bp->table().aliasDestructive(),
-                      lv_sp->table().aliasDestructive());
+                      lv_s.table().aliasDestructive());
 
-            EXPECT_EQ(fcm_bp->vhtEvictions(), fcm_sp->vhtEvictions());
-            EXPECT_EQ(fcm_bp->vptEvictions(), fcm_sp->vptEvictions());
+            EXPECT_EQ(fcm_bp->vhtEvictions(), fcm_s.vhtEvictions());
+            EXPECT_EQ(fcm_bp->vptEvictions(), fcm_s.vptEvictions());
             EXPECT_EQ(fcm_bp->vptAliasedTouches(),
-                      fcm_sp->vptAliasedTouches());
+                      fcm_s.vptAliasedTouches());
             EXPECT_EQ(fcm_bp->vptAliasConstructive(),
-                      fcm_sp->vptAliasConstructive());
+                      fcm_s.vptAliasConstructive());
             EXPECT_EQ(fcm_bp->vptAliasDestructive(),
-                      fcm_sp->vptAliasDestructive());
+                      fcm_s.vptAliasDestructive());
 
-            expectIdenticalStats(batched.member(0).stats,
-                                 scalar.member(0).stats);
-            expectIdenticalStats(batched.member(1).stats,
-                                 scalar.member(1).stats);
+            expectIdenticalStats(batched.member(0).stats, lv_stats);
+            expectIdenticalStats(batched.member(1).stats, fcm_stats);
         }
     }
 }

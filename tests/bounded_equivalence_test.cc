@@ -75,7 +75,8 @@ runOver(PredictorPtr pred, const std::vector<vm::TraceEvent> &events)
 {
     sim::PredictorBank bank;
     bank.add(std::move(pred));
-    sim::replayTrace(events, bank);
+    vm::VectorBatchSource source(events, 1);
+    sim::replayTrace(source, bank);
     return bank.member(0).stats;
 }
 
@@ -163,7 +164,8 @@ TEST(BoundedEquivalence, FcmMatchesUnboundedExactly)
             // (pc, order, context) tuples the bounded VPT will key.
             sim::PredictorBank bank;
             bank.add(std::make_unique<FcmPredictor>(fcm));
-            sim::replayTrace(trace.events, bank);
+            vm::VectorBatchSource source(trace.events, 1);
+            sim::replayTrace(source, bank);
             const auto a = bank.member(0).stats;
             const size_t contexts =
                     bank.member(0).predictor->tableEntries();
@@ -320,7 +322,8 @@ TEST(BoundedEquivalence, ComposedHybridMatchesUnboundedExactly)
         fcm3.order = 3;
         sim::PredictorBank bank;
         bank.add(std::make_unique<FcmPredictor>(fcm3));
-        sim::replayTrace(trace.events, bank);
+        vm::VectorBatchSource source(trace.events, 1);
+        sim::replayTrace(source, bank);
         const size_t contexts = bank.member(0).predictor->tableEntries();
 
         const auto unbounded = runOver(
@@ -514,15 +517,9 @@ TEST(BoundedSpecs, NamesRoundTripThroughTheGrammar)
          {"l@1024x4", "l-sat@1024x4", "l-consec@256x2", "s@512x4",
           "s2@256x2r", "s2@256x2f", "s2@64xfa", "fcm3@256/1024x4",
           "fcm2-pure@64/256x4", "fcm1-full@64/256x2r",
-          "fcm3@256/1024x4f"}) {
+          "fcm3@256/1024x4f", "fcm2-sat@64/256x4"}) {
         EXPECT_EQ(exp::makePredictor(spec)->name(), spec);
     }
-
-    // The -sat suffix canonicalises away, matching the unbounded
-    // convention ("counter width is not a model"): fcmK-sat and fcmK
-    // share a name, bounded or not.
-    EXPECT_EQ(exp::makePredictor("fcm2-sat@64/256x4")->name(),
-              "fcm2@64/256x4");
 }
 
 TEST(BoundedSpecs, RejectsMalformedBudgets)

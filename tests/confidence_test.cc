@@ -66,7 +66,8 @@ runOver(PredictorPtr pred, const std::vector<vm::TraceEvent> &events)
 {
     sim::PredictorBank bank;
     bank.add(std::move(pred));
-    sim::replayTrace(events, bank);
+    vm::VectorBatchSource source(events, 1);
+    sim::replayTrace(source, bank);
     return bank.member(0).stats;
 }
 

@@ -61,7 +61,8 @@ serialReference(const std::vector<TraceEvent> &events,
 {
     sim::PredictorBank bank;
     bank.add(exp::makePredictor(spec));
-    sim::replayTrace(events, bank);
+    vm::VectorBatchSource source(events, 1);
+    sim::replayTrace(source, bank);
     return net::TenantStats::from(bank.member(0).stats);
 }
 

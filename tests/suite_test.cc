@@ -28,15 +28,14 @@ TEST(MakePredictor, ParsesEverySpec)
         const auto pred = makePredictor(spec);
         ASSERT_NE(pred, nullptr) << spec;
         // Round trip through name() for the canonical specs (the
-        // hybrid names its components; counter width is not a model).
-        const std::string s(spec);
-        if (s.find("sat") == std::string::npos && s != "hybrid") {
+        // hybrid names its components).
+        if (std::string(spec) != "hybrid")
             EXPECT_EQ(pred->name(), spec);
-        }
     }
     EXPECT_EQ(makePredictor("hybrid")->name(), "hyb(s2+fcm3)");
-    // fcmK-sat keeps the plain name (counter width is not a model).
-    EXPECT_EQ(makePredictor("fcm2-sat")->name(), "fcm2");
+    // The counter ceiling is part of the model: fcmK-sat and fcmK
+    // predict differently, so they are named apart.
+    EXPECT_EQ(makePredictor("fcm2-sat")->name(), "fcm2-sat");
 }
 
 TEST(MakePredictor, RejectsUnknownSpecs)

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -173,6 +174,27 @@ TEST(VpexpGolden, RegistrySpecNamesAreCanonicalAndMatchGoldenFile)
     EXPECT_EQ(rendered.str(), golden)
             << "registry spec set or grammar drifted; see the "
                "regeneration recipe in this file's header";
+}
+
+/**
+ * Display names tell bank members apart (vpsim/asm_playground tables,
+ * PredictorBank::indexOf), so no two registry specs may share one:
+ * name() must be injective over the golden spec set.
+ */
+TEST(VpexpGolden, PredictorNamesAreInjectiveOverGoldenSpecs)
+{
+    std::istringstream golden(
+            slurp(std::string(VP_GOLDEN_DIR) + "/spec_names.txt"));
+    std::map<std::string, std::string> spec_of_name;
+    size_t specs = 0;
+    for (std::string spec; std::getline(golden, spec);) {
+        ++specs;
+        const std::string name = makePredictor(spec)->name();
+        const auto [it, fresh] = spec_of_name.emplace(name, spec);
+        EXPECT_TRUE(fresh) << "\"" << spec << "\" and \"" << it->second
+                           << "\" are both named \"" << name << "\"";
+    }
+    EXPECT_GT(specs, 100u);
 }
 
 /** Same pin for the counting shape (tables 2/4/5): exact integers. */
