@@ -77,13 +77,19 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     echo "    wrote build/BENCH_results.json and build/BENCH_trace.json"
 
     # The repository benchmark's own checks (perfbench/README.md): its
-    # self-test, then one short studies run, which compares every
-    # study member's eligible/predicted/correct and every report CSV
-    # against perfbench/reference/studies.json. Both exit nonzero on a
-    # mismatch; run.py builds into .bench_build.
-    echo "==> perfbench self-test and studies reference check"
+    # self-test, then one short studies run and one paper run, which
+    # compare every member's eligible/predicted/correct and every
+    # report CSV against perfbench/reference/{studies,paper}.json.
+    # studies pins the bounded tables, paper the unbounded predictors
+    # (FcmFollowers' cell list is shared by both). Each exits nonzero
+    # on a mismatch; run.py builds into .bench_build. Last, the
+    # self-test of tools/benchdiff, which compares two checkouts'
+    # benchmark runs.
+    echo "==> perfbench self-test and studies/paper reference checks"
     python3 -m unittest discover -s perfbench/tests
     python3 perfbench/run.py --workload studies --seed 0 --seconds 1
+    python3 perfbench/run.py --workload paper --seed 0 --seconds 1
+    python3 -m unittest discover -s tools/tests
 fi
 
 echo "==> sanitized configuration (ASan + UBSan)"

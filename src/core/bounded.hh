@@ -219,9 +219,13 @@ class BoundedFcmPredictor : public ValuePredictor
     void collectCounters(CounterSink &sink) const override;
 
   private:
+    friend struct ZeroStorageAccess;
+
     /** Most recent values, oldest first. */
     struct VhtEntry
     {
+        static constexpr bool zeroInitialised = true;   ///< hugepage.hh
+
         std::array<uint64_t, maxOrder> history{};
         uint8_t len = 0;
     };

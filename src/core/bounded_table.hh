@@ -115,7 +115,7 @@ struct BoundedTableConfig
  * Fixed-capacity key -> Entry map organised as sets x ways.
  *
  * The set-associative mode stores slots in a structure-of-arrays
- * layout — keys, recency stamps, validity and entry payloads in
+ * layout — keys, age stamps, validity and entry payloads in
  * parallel flat arrays — so the hot probe loop walks a dense run of
  * 8-byte keys (one cache line covers a whole set and its neighbours)
  * and the payload array is only dereferenced on a hit or a victim.
@@ -125,6 +125,16 @@ struct BoundedTableConfig
  * an exact key -> slot index on the side so lookups stay O(1) even
  * with large entry counts; it exists for verification and idealised
  * sweeps, not as a hardware proposal.
+ *
+ * One stamp array serves the ordered policies, holding the age the
+ * victim scan minimises. LRU tables stamp every touch and FIFO tables
+ * only inserts, so a FIFO stamp is the insertion time. Random tables
+ * neither write nor read the stamps, so that array stays unfaulted.
+ *
+ * Every array starts out zero-filled and untouched (core/hugepage.hh):
+ * an all-zero slot is an invalid one, so building a table writes no
+ * page, and a page is first faulted in by the first touch of one of
+ * its sets.
  *
  * The access protocol mirrors the predictor interface: predict() uses
  * the const @c peek() (no LRU motion, so prediction never mutates
@@ -154,7 +164,6 @@ class BoundedTable
             tagMask_ = (uint64_t{1} << config_.tagBits) - 1;
         keys_.resize(config_.entries);
         stamps_.resize(config_.entries);
-        insertStamps_.resize(config_.entries);
         valid_.resize(config_.entries);
         entries_.resize(config_.entries);
         if (fullyAssociative()) {
@@ -285,7 +294,8 @@ class BoundedTable
     touchAt(size_t slot, uint64_t key, bool *aliased = nullptr)
     {
         ++tick_;
-        stamps_[slot] = tick_;
+        if (stamps(false))
+            stamps_[slot] = tick_;
         if (keys_[slot] != key) {
             ++aliasedTouches_;
             keys_[slot] = key;
@@ -417,12 +427,12 @@ class BoundedTable
         ++tick_;
         const size_t s = fullyAssociative() ? touchFa(key, inserted)
                                             : touchSet(key, inserted);
-        stamps_[s] = tick_;
+        if (stamps(inserted))
+            stamps_[s] = tick_;
         if (inserted) {
             entries_[s] = Entry{};
             keys_[s] = key;
             valid_[s] = 1;
-            insertStamps_[s] = tick_;
         } else if (keys_[s] != key) {
             ++aliasedTouches_;
             keys_[s] = key;
@@ -438,7 +448,6 @@ class BoundedTable
     {
         std::fill(keys_.begin(), keys_.end(), 0);
         std::fill(stamps_.begin(), stamps_.end(), 0);
-        std::fill(insertStamps_.begin(), insertStamps_.end(), 0);
         std::fill(valid_.begin(), valid_.end(), 0);
         std::fill(entries_.begin(), entries_.end(), Entry{});
         index_.clear();
@@ -476,13 +485,13 @@ class BoundedTable
         ++probeDepth_[std::min(depth, BoundedTableTelemetry::maxDepth)];
     }
 
-    /** The age slot @p s's victim scan minimises for this policy. */
-    uint64_t
-    victimStamp(size_t s) const
+    /** Whether a touch (an insert when @p inserted) stamps its slot:
+     *  see the class comment. */
+    bool
+    stamps(bool inserted) const
     {
-        return config_.replacement == Replacement::Fifo
-                       ? insertStamps_[s]
-                       : stamps_[s];
+        return config_.replacement == Replacement::Lru ||
+               (inserted && config_.replacement == Replacement::Fifo);
     }
 
     /** The stored tag: the low tagBits of @p key (full key when 0). */
@@ -562,6 +571,7 @@ class BoundedTable
             return base + static_cast<size_t>(hit);
         }
         inserted = true;
+        const bool random = config_.replacement == Replacement::Random;
         size_t oldest = base;
         for (size_t w = 0; w < config_.ways; ++w) {
             const size_t s = base + w;
@@ -569,11 +579,11 @@ class BoundedTable
                 ++live_;
                 return s;
             }
-            if (victimStamp(s) < victimStamp(oldest))
+            if (!random && stamps_[s] < stamps_[oldest])
                 oldest = s;
         }
         ++evictions_;
-        if (config_.replacement == Replacement::Random)
+        if (random)
             return base + nextRandom() % config_.ways;
         return oldest;
     }
@@ -598,7 +608,7 @@ class BoundedTable
             } else {
                 victim = 0;
                 for (size_t i = 1; i < config_.entries; ++i) {
-                    if (victimStamp(i) < victimStamp(victim))
+                    if (stamps_[i] < stamps_[victim])
                         victim = i;
                 }
             }
@@ -617,10 +627,9 @@ class BoundedTable
     BoundedTableConfig config_;
     // Structure-of-arrays slot storage (see the class comment): the
     // probe loop reads keys_/valid_ only; entries_ is touched on hits
-    // and victims, stamps on recency updates and victim scans.
+    // and victims, stamps on stamping touches and victim scans.
     Array<uint64_t> keys_;
-    Array<uint64_t> stamps_;                ///< last touch (LRU order)
-    Array<uint64_t> insertStamps_;          ///< allocation (FIFO order)
+    Array<uint64_t> stamps_;                ///< victim age (see class doc)
     Array<uint8_t> valid_;
     Array<Entry> entries_;
     std::unordered_map<uint64_t, size_t> index_;    // fa: tag -> slot

@@ -87,6 +87,10 @@ struct FcmFollowers
      * cells in the same (huge-page-backed, prefetchable) table array —
      * a detached heap block per context would cost the hot replay loop
      * one more dependent cache-and-TLB miss per event.
+     *
+     * An all-zero CellList is a valid empty one (cap_ == 0 stands for
+     * the inline capacity), so a zero-filled table of FcmFollowers
+     * needs no constructor pass (core/hugepage.hh).
      */
     class CellList
     {
@@ -137,7 +141,7 @@ struct FcmFollowers
         void
         push_back(const Cell &cell)
         {
-            if (size_ == cap_)
+            if (size_ == capacity())
                 grow();
             data()[size_++] = cell;
         }
@@ -162,14 +166,16 @@ struct FcmFollowers
             delete[] heap_;
             heap_ = nullptr;
             size_ = 0;
-            cap_ = kInline;
+            cap_ = 0;
         }
 
       private:
+        uint32_t capacity() const { return cap_ != 0 ? cap_ : kInline; }
+
         void
         grow()
         {
-            const uint32_t new_cap = cap_ * 2;
+            const uint32_t new_cap = capacity() * 2;
             Cell *bigger = new Cell[new_cap];
             const Cell *d = data();
             for (uint32_t i = 0; i < size_; ++i)
@@ -205,13 +211,13 @@ struct FcmFollowers
             }
             other.heap_ = nullptr;
             other.size_ = 0;
-            other.cap_ = kInline;
+            other.cap_ = 0;
         }
 
         Cell inline_[kInline];
         Cell *heap_ = nullptr;
         uint32_t size_ = 0;
-        uint32_t cap_ = kInline;
+        uint32_t cap_ = 0;      ///< heap capacity; 0 while inline
     };
 
     /** Typically 1-2 distinct followers; linear scan is right. */
@@ -232,7 +238,12 @@ struct FcmFollowers
 
     /** Best follower: max count, ties to the most recent. */
     const Cell *best() const;
+
+    static constexpr bool zeroInitialised = true;   ///< hugepage.hh
 };
+
+// The bounded VPT entry stays one cache line.
+static_assert(sizeof(FcmFollowers) == 64);
 
 /**
  * Order-k finite context method predictor.

@@ -130,9 +130,13 @@ class HybridPredictor : public ValuePredictor
     void collectCounters(CounterSink &sink) const override;
 
   private:
+    friend struct ZeroStorageAccess;
+
     /** One bounded-chooser counter (init applied on insert). */
     struct ChooserEntry
     {
+        static constexpr bool zeroInitialised = true;   ///< hugepage.hh
+
         int counter = 0;
     };
 

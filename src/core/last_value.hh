@@ -64,6 +64,8 @@ struct LvConfig
  */
 struct LvEntry
 {
+    static constexpr bool zeroInitialised = true;   ///< core/hugepage.hh
+
     uint64_t value = 0;
     int counter = 0;            ///< SaturatingCounter state
     uint64_t candidate = 0;     ///< Consecutive state

@@ -57,6 +57,8 @@ struct StrideConfig
  */
 struct StrideEntry
 {
+    static constexpr bool zeroInitialised = true;   ///< core/hugepage.hh
+
     uint64_t last = 0;
     int64_t s1 = 0;         ///< most recent delta
     int64_t s2 = 0;         ///< prediction delta

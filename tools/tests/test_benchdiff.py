@@ -1,0 +1,180 @@
+"""Self-test of tools/benchdiff over synthetic perfbench results.
+
+Run from the repository root:
+
+    python3 -m unittest discover -s tools/tests -v
+
+No benchmark runs: every case feeds summarise() (or `--read`) result
+records built here, so the test takes well under a second.
+"""
+
+import importlib.machinery
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+TOOL = os.path.join(ROOT, "tools", "benchdiff")
+
+_loader = importlib.machinery.SourceFileLoader("benchdiff", TOOL)
+_spec = importlib.util.spec_from_loader("benchdiff", _loader)
+benchdiff = importlib.util.module_from_spec(_spec)
+_loader.exec_module(benchdiff)
+
+BENCHMARK = {"end_to_end": [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "pred_per_s", "unit": "events/s", "better": "higher",
+     "bound": 0.25},
+]}
+
+
+def result(wall, rate, failed=0, attempted=7):
+    return {"correct": failed == 0, "attempted": attempted,
+            "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "pred_per_s": {"value": rate,
+                                       "unit": "events/s"}}}
+
+
+def full_result(scale):
+    """A result carrying every end-to-end metric the repository's
+    BENCHMARK.json declares, each at 100 times @p scale in its better
+    direction (scale > 1 is better)."""
+    metrics = {}
+    for metric in benchdiff.load_benchmark()["end_to_end"]:
+        value = 100 * scale if metric["better"] == "higher" \
+            else 100 / scale
+        metrics[metric["name"]] = {"value": value,
+                                   "unit": metric["unit"]}
+    return {"correct": True, "attempted": 7, "failed": 0,
+            "metrics": metrics}
+
+
+def runs(parent, change):
+    """Records for pairs 1..n from two lists of results."""
+    out = []
+    for pair, (p, c) in enumerate(zip(parent, change), start=1):
+        for side in benchdiff.pair_order(pair):
+            out.append({"pair": pair, "side": side,
+                        "result": p if side == "parent" else c})
+    return out
+
+
+def row(summary, name):
+    return next(r for r in summary["metrics"] if r["name"] == name)
+
+
+class BenchdiffTest(unittest.TestCase):
+
+    def test_pairs_alternate_the_starting_side(self):
+        self.assertEqual(benchdiff.pair_order(1), ("parent", "change"))
+        self.assertEqual(benchdiff.pair_order(2), ("change", "parent"))
+
+    def test_clear_gain_is_won_and_resolved(self):
+        parent = [result(10 + 0.1 * i, 100) for i in range(10)]
+        change = [result(6 + 0.1 * i, 150) for i in range(10)]
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertTrue(summary["ok"])
+        wall = row(summary, "wall_s")
+        self.assertEqual((wall["wins"], wall["pairs"]), (10, 10))
+        self.assertTrue(wall["resolved"])
+        self.assertAlmostEqual(wall["parent"]["median"], 10.45)
+        self.assertAlmostEqual(wall["change"]["median"], 6.45)
+        self.assertAlmostEqual(wall["parent"]["q1"], 10.225)
+        self.assertAlmostEqual(wall["parent"]["q3"], 10.675)
+        rate = row(summary, "pred_per_s")
+        self.assertEqual(rate["wins"], 10)      # higher is better
+
+    def test_noise_is_not_resolved(self):
+        parent = [result(w, 100) for w in (10, 12, 10, 12, 10, 12)]
+        change = [result(w, 100) for w in (11, 11, 11, 11, 11, 11)]
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertTrue(summary["ok"])
+        self.assertFalse(row(summary, "wall_s")["resolved"])
+        self.assertEqual(row(summary, "pred_per_s")["wins"], 0)
+
+    def test_worse_than_bound_fails(self):
+        parent = [result(10, 100)] * 4
+        change = [result(13, 100)] * 4         # wall +30% > 25%
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertFalse(summary["ok"])
+        self.assertFalse(row(summary, "wall_s")["within_bound"])
+        change = [result(12, 100)] * 4         # +20%: within bound
+        self.assertTrue(
+            benchdiff.summarise(runs(parent, change), BENCHMARK)["ok"])
+        change = [result(10, 70)] * 4          # rate -30%
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertFalse(row(summary, "pred_per_s")["within_bound"])
+
+    def test_rising_failures_fail(self):
+        parent = [result(10, 100)] * 3
+        change = [result(9, 110, failed=1)] + [result(9, 110)] * 2
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertTrue(summary["failed_rose"])
+        self.assertFalse(summary["ok"])
+        self.assertEqual(summary["failed"]["change"], 1)
+
+    def test_a_run_without_result_fails(self):
+        records = runs([result(10, 100)] * 2, [result(9, 110)] * 2)
+        records.append({"pair": 3, "side": "change", "result": None})
+        summary = benchdiff.summarise(records, BENCHMARK)
+        self.assertEqual(summary["errors"]["change"], 1)
+        self.assertFalse(summary["ok"])
+
+    def test_parent_spread_wider_than_bound_is_unresolved(self):
+        parent = [result(w, 100) for w in (5, 10, 15, 5, 10, 15)]
+        change = [result(10, 100)] * 6
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertTrue(summary["ok"])
+        self.assertTrue(row(summary, "wall_s")["unresolved"])
+        self.assertFalse(row(summary, "pred_per_s")["unresolved"])
+        text = benchdiff.format_summary(summary)
+        self.assertIn("ok* (0.25)", text)
+        self.assertIn("* unresolved", text)
+
+    def test_change_beating_every_parent_run_is_resolved(self):
+        parent = [result(w, 100) for w in (5, 10, 15, 5, 10, 15)]
+        change = [result(4, 100)] * 6
+        summary = benchdiff.summarise(runs(parent, change), BENCHMARK)
+        self.assertFalse(row(summary, "wall_s")["unresolved"])
+        self.assertNotIn("*", benchdiff.format_summary(summary))
+
+    def test_read_mode_judges_against_the_repository_bounds(self):
+        names = [m["name"]
+                 for m in benchdiff.load_benchmark()["end_to_end"]]
+        records = runs([full_result(1)] * 3, [full_result(2)] * 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = os.path.join(tmp, "saved.json")
+            with open(saved, "w") as f:
+                json.dump({"workload": "studies", "runs": records}, f)
+            done = subprocess.run(
+                [sys.executable, TOOL, "--read", saved],
+                capture_output=True, text=True)
+            self.assertEqual(done.returncode, 0, done.stderr)
+            for name in names:
+                self.assertIn(name, done.stdout)
+            self.assertEqual(done.stdout.count("3/3"), len(names))
+            self.assertNotIn("missing", done.stdout)
+
+            worse = runs([full_result(1)] * 3, [full_result(0.5)] * 3)
+            with open(saved, "w") as f:
+                json.dump({"workload": "studies", "runs": worse}, f)
+            done = subprocess.run(
+                [sys.executable, TOOL, "--read", saved],
+                capture_output=True, text=True)
+            self.assertEqual(done.returncode, 1)
+            self.assertEqual(done.stdout.count("WORSE"), len(names))
+
+    def test_usage_errors_exit_2(self):
+        done = subprocess.run([sys.executable, TOOL],
+                              capture_output=True, text=True)
+        self.assertEqual(done.returncode, 2)
+
+
+if __name__ == "__main__":
+    unittest.main()
