@@ -81,7 +81,8 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     # compare every member's eligible/predicted/correct and every
     # report CSV against perfbench/reference/{studies,paper}.json.
     # studies pins the bounded tables, paper the unbounded predictors
-    # (FcmFollowers' cell list is shared by both). Each exits nonzero
+    # (the unbounded fcm's follower store must count exactly as the
+    # bounded tables' FcmFollowers do). Each exits nonzero
     # on a mismatch; run.py builds into .bench_build. Last, the
     # self-test of tools/benchdiff, which compares two checkouts'
     # benchmark runs.

@@ -38,7 +38,9 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -136,6 +138,14 @@ struct BoundedTableConfig
  * page, and a page is first faulted in by the first touch of one of
  * its sets.
  *
+ * Invariant: a slot whose valid_ byte is 0 holds an empty Entry{} and
+ * so owns no resource (no heap cells of a spilled FcmFollowers list).
+ * Such a slot is zero-filled storage, or was reset by clear(), which
+ * overwrites every payload; valid_ goes back to 0 nowhere else, and an
+ * insert overwrites its slot with Entry{} before marking it valid.
+ * Teardown relies on it: the destructor skips runs of slots with no
+ * live slot, so freeing a table reads no page that no event touched.
+ *
  * The access protocol mirrors the predictor interface: predict() uses
  * the const @c peek() (no LRU motion, so prediction never mutates
  * observable state), update() uses @c touch() which inserts, evicts
@@ -171,6 +181,37 @@ class BoundedTable
         } else {
             sets_ = config_.entries / config_.ways;
             setMask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
+        }
+    }
+
+    BoundedTable(const BoundedTable &) = default;
+    BoundedTable(BoundedTable &&) = default;
+    // Assigning would drop the old payloads without destroying them
+    // (SlotAllocator below), and no owner needs it.
+    BoundedTable &operator=(const BoundedTable &) = delete;
+    BoundedTable &operator=(BoundedTable &&) = delete;
+
+    /**
+     * Destroys the payloads of each page-sized run of slots that holds
+     * a live slot, and releases the other runs unread (see the
+     * invariant in the class comment). Destroying an invalid slot of
+     * a live run is a no-op on its empty Entry{}; one check per run
+     * instead of per slot keeps dense tables as cheap to free as when
+     * every slot was destroyed.
+     */
+    ~BoundedTable()
+    {
+        if constexpr (!std::is_trivially_destructible_v<Entry>) {
+            constexpr size_t run = std::max<size_t>(1, 4096 / sizeof(Entry));
+            for (size_t first = 0; first < entries_.size(); first += run) {
+                const size_t last = std::min(first + run, entries_.size());
+                if (std::any_of(valid_.begin() + first,
+                                valid_.begin() + last,
+                                [](uint8_t live) { return live != 0; })) {
+                    std::destroy(entries_.begin() + first,
+                                 entries_.begin() + last);
+                }
+            }
         }
     }
 
@@ -624,6 +665,26 @@ class BoundedTable
     template <typename T>
     using Array = std::vector<T, HugePageAllocator<T>>;
 
+    /** The payload array's allocator: element destruction is left to
+     *  ~BoundedTable, which knows which slots are live. */
+    template <typename T>
+    struct SlotAllocator : HugePageAllocator<T>
+    {
+        using HugePageAllocator<T>::HugePageAllocator;
+
+        template <typename U>
+        struct rebind
+        {
+            using other = SlotAllocator<U>;
+        };
+
+        template <typename U>
+        void
+        destroy(U *) noexcept
+        {
+        }
+    };
+
     BoundedTableConfig config_;
     // Structure-of-arrays slot storage (see the class comment): the
     // probe loop reads keys_/valid_ only; entries_ is touched on hits
@@ -631,7 +692,7 @@ class BoundedTable
     Array<uint64_t> keys_;
     Array<uint64_t> stamps_;                ///< victim age (see class doc)
     Array<uint8_t> valid_;
-    Array<Entry> entries_;
+    std::vector<Entry, SlotAllocator<Entry>> entries_;
     std::unordered_map<uint64_t, size_t> index_;    // fa: tag -> slot
     size_t sets_ = 0;                               // set-assoc mode
     size_t setMask_ = 0;                            // sets_ - 1 if pow2

@@ -1,6 +1,7 @@
 #include "core/fcm.hh"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace vp::core {
@@ -78,6 +79,118 @@ FcmFollowers::best() const
     return best;
 }
 
+namespace {
+
+/** Home slot of @p value in an index of @p mask + 1 slots. */
+uint32_t
+homeSlot(uint64_t value, uint32_t mask)
+{
+    return static_cast<uint32_t>((value * 0x9e3779b97f4a7c15ull) >> 32) &
+           mask;
+}
+
+} // anonymous namespace
+
+uint32_t
+IndexedFollowers::capacity() const
+{
+    return size_ <= 1 ? 1 : std::bit_ceil(size_);
+}
+
+uint32_t
+IndexedFollowers::find(uint64_t value) const
+{
+    const Cell *c = cells();
+    const uint32_t cap = capacity();
+    if (cap <= kScanMax) {
+        for (uint32_t i = 0; i < size_; ++i) {
+            if (c[i].value == value)
+                return i;
+        }
+        return UINT32_MAX;
+    }
+    const uint32_t *slot = slots(cap);
+    const uint32_t mask = 2 * cap - 1;
+    for (uint32_t s = homeSlot(value, mask);; s = (s + 1) & mask) {
+        if (slot[s] == 0)
+            return UINT32_MAX;
+        if (c[slot[s] - 1].value == value)
+            return slot[s] - 1;
+    }
+}
+
+void
+IndexedFollowers::index(uint32_t at, uint32_t cap)
+{
+    uint32_t *slot = slots(cap);
+    const uint32_t mask = 2 * cap - 1;
+    uint32_t s = homeSlot(heap_[at].value, mask);
+    while (slot[s] != 0)
+        s = (s + 1) & mask;
+    slot[s] = at + 1;
+}
+
+void
+IndexedFollowers::push(const Cell &cell)
+{
+    uint32_t cap = capacity();
+    if (size_ == cap) {
+        // Full: double into a new block, with an index behind the
+        // cells once the list is too long to scan.
+        cap *= 2;
+        const size_t index_bytes =
+                cap > kScanMax ? 2 * cap * sizeof(uint32_t) : 0;
+        auto *block = static_cast<Cell *>(
+                ::operator new(cap * sizeof(Cell) + index_bytes));
+        std::copy(cells(), cells() + size_, block);
+        ::operator delete(heap_);
+        heap_ = block;
+        if (cap > kScanMax) {
+            std::fill_n(slots(cap), 2 * cap, 0u);
+            for (uint32_t i = 0; i < size_; ++i)
+                index(i, cap);
+        }
+    }
+    cells()[size_] = cell;
+    if (cap > kScanMax)
+        index(size_, cap);
+    ++size_;
+}
+
+void
+IndexedFollowers::bump(uint64_t value, uint64_t seq, uint32_t counter_max)
+{
+    const uint32_t at = find(value);
+    if (at == UINT32_MAX) {
+        const bool becomes_best = size_ == 0 || cells()[best_].count <= 1;
+        push(Cell{value, 1, seq});
+        if (becomes_best)
+            best_ = size_ - 1;
+        return;
+    }
+
+    Cell *c = cells();
+    Cell &cell = c[at];
+    ++cell.count;
+    cell.seq = seq;
+    // Halve when a count would exceed (not reach) the ceiling, as
+    // FcmFollowers::bump() does; zero-count cells stay in place (see
+    // the class comment), so only the argmax needs a rescan.
+    if (counter_max != 0 && cell.count > counter_max) {
+        best_ = 0;
+        for (uint32_t i = 0; i < size_; ++i) {
+            c[i].count /= 2;
+            if (c[i].count > c[best_].count ||
+                (c[i].count == c[best_].count &&
+                 c[i].seq > c[best_].seq)) {
+                best_ = i;
+            }
+        }
+    } else if (cell.count >= c[best_].count) {
+        best_ = at;
+    }
+}
+
 std::span<const uint64_t>
 FcmPredictor::contextKey(const PcState &state, int j)
 {
@@ -88,7 +201,7 @@ FcmPredictor::contextKey(const PcState &state, int j)
 
 int
 FcmPredictor::longestMatch(const PcState &state,
-                           const FcmFollowers **followers) const
+                           const IndexedFollowers **followers) const
 {
     const int max_order = std::min<int>(
             config_.order, static_cast<int>(state.history.size()));
@@ -100,7 +213,7 @@ FcmPredictor::longestMatch(const PcState &state,
             continue;
         const auto &table = state.tables[j];
         auto it = table.find(contextKey(state, j));
-        if (it != table.end() && !it->second.cells.empty()) {
+        if (it != table.end() && !it->second.empty()) {
             if (followers != nullptr)
                 *followers = &it->second;
             return j;
@@ -122,15 +235,37 @@ FcmPredictor::predict(uint64_t pc) const
         return Prediction::none();
     }
 
-    const int match = longestMatch(state);
-    if (match < 0)
+    const IndexedFollowers *followers = nullptr;
+    if (longestMatch(state, &followers) < 0)
         return Prediction::none();
-
-    const auto it2 = state.tables[match].find(contextKey(state, match));
-    const auto *best = it2->second.best();
+    const auto *best = followers->best();
     if (best == nullptr)
         return Prediction::none();
     return Prediction::of(best->value);
+}
+
+void
+FcmPredictor::train(PcState &state, int lowest, uint64_t value)
+{
+    ++seq_;
+    const int max_order = std::min<int>(
+            config_.order, static_cast<int>(state.history.size()));
+    for (int j = max_order; j >= lowest; --j) {
+        auto &table = state.tables[j];
+        const auto key = contextKey(state, j);
+        auto it = table.find(key);
+        if (it == table.end()) {
+            it = table.try_emplace(std::vector<uint64_t>(key.begin(),
+                                                         key.end()))
+                         .first;
+        }
+        it->second.bump(value, seq_, config_.counterMax);
+    }
+
+    // Slide the history window.
+    state.history.push_back(value);
+    if (static_cast<int>(state.history.size()) > config_.order)
+        state.history.erase(state.history.begin());
 }
 
 void
@@ -157,26 +292,7 @@ FcmPredictor::update(uint64_t pc, uint64_t actual)
         break;
       }
     }
-
-    ++seq_;
-    const int max_order = std::min<int>(
-            config_.order, static_cast<int>(state.history.size()));
-    for (int j = max_order; j >= lowest; --j) {
-        auto &table = state.tables[j];
-        const auto key = contextKey(state, j);
-        auto it = table.find(key);
-        if (it == table.end()) {
-            it = table.emplace(std::vector<uint64_t>(key.begin(),
-                                                     key.end()),
-                               FcmFollowers{}).first;
-        }
-        it->second.bump(actual, seq_, config_.counterMax);
-    }
-
-    // Slide the history window.
-    state.history.push_back(actual);
-    if (static_cast<int>(state.history.size()) > config_.order)
-        state.history.erase(state.history.begin());
+    train(state, lowest, actual);
 }
 
 void
@@ -194,7 +310,7 @@ FcmPredictor::trainBatch(const uint64_t *pcs, const uint64_t *values,
         // state between the scalar predict() and update() scans, so
         // they always agree. On a fresh PC the scan trivially misses,
         // matching the scalar predict() table miss.
-        const FcmFollowers *followers = nullptr;
+        const IndexedFollowers *followers = nullptr;
         const int match = longestMatch(state, &followers);
 
         if (!inserted && match >= 0) {
@@ -218,25 +334,7 @@ FcmPredictor::trainBatch(const uint64_t *pcs, const uint64_t *values,
             lowest = match < 0 ? 0 : match;
             break;
         }
-
-        ++seq_;
-        const int max_order = std::min<int>(
-                config_.order, static_cast<int>(state.history.size()));
-        for (int j = max_order; j >= lowest; --j) {
-            auto &table = state.tables[j];
-            const auto key = contextKey(state, j);
-            auto it = table.find(key);
-            if (it == table.end()) {
-                it = table.emplace(std::vector<uint64_t>(key.begin(),
-                                                         key.end()),
-                                   FcmFollowers{}).first;
-            }
-            it->second.bump(values[i], seq_, config_.counterMax);
-        }
-
-        state.history.push_back(values[i]);
-        if (static_cast<int>(state.history.size()) > config_.order)
-            state.history.erase(state.history.begin());
+        train(state, lowest, values[i]);
     }
 }
 

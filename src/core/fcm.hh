@@ -64,11 +64,10 @@ struct FcmConfig
 std::string fcmVariantName(const FcmConfig &config);
 
 /**
- * Follower frequencies for one context.
- *
- * Shared between the unbounded predictor below and the bounded
- * two-level variant so the counting/halving/tie-break behaviour is
- * identical by construction.
+ * Follower frequencies for one context: the bounded two-level
+ * predictor's VPT entry (core/bounded.hh), and the plain-scan
+ * reference for the unbounded predictor's IndexedFollowers, which
+ * must keep the same counting/halving/tie-break behaviour.
  */
 struct FcmFollowers
 {
@@ -246,6 +245,100 @@ struct FcmFollowers
 static_assert(sizeof(FcmFollowers) == 64);
 
 /**
+ * The unbounded predictor's follower store for one context:
+ * FcmFollowers' counting, halving and tie-break rules at O(1) cost
+ * per event.
+ *
+ * Low-order contexts collect every distinct value their PC ever
+ * produced (thousands at order 0), so the scans FcmFollowers::bump()
+ * and best() make on every event would dominate replay. Instead:
+ *
+ * - The argmax cell is cached. The cell just bumped is always the
+ *   most recent, so it becomes the best iff its count is >= the best
+ *   cell's count; no other cell's standing changes.
+ * - A list past kScanMax cells is indexed: its heap block carries an
+ *   open-addressing value -> cell table of 2 x capacity 32-bit slots
+ *   behind the cells, rebuilt when the block doubles. Shorter lists
+ *   are scanned.
+ * - A halving (counter ceiling != 0) keeps zero-count cells in place
+ *   instead of pruning them. Such a cell never wins (the bumped cell
+ *   stays >= 1), and a later bump revives it at count 1, as a fresh
+ *   cell would start. So no cell ever moves, a halving never touches
+ *   the index, and only the argmax is rescanned (at most once per
+ *   ceiling / 2 bumps of a context).
+ *
+ * Every best() therefore equals FcmFollowers::best() on the same
+ * stream; tests/fcm_test.cc checks this differentially.
+ */
+class IndexedFollowers
+{
+  public:
+    using Cell = FcmFollowers::Cell;
+
+    /** Lists up to this long are scanned; longer ones indexed. */
+    static constexpr uint32_t kScanMax = 8;
+
+    IndexedFollowers() = default;
+    IndexedFollowers(const IndexedFollowers &) = delete;
+    IndexedFollowers &operator=(const IndexedFollowers &) = delete;
+    ~IndexedFollowers() { ::operator delete(heap_); }
+
+    bool empty() const { return size_ == 0; }
+
+    /** FcmFollowers::bump() without a follower budget. */
+    void bump(uint64_t value, uint64_t seq, uint32_t counter_max);
+
+    /** Best follower: max count, ties to the most recent; nullptr
+     *  while empty. */
+    const Cell *
+    best() const
+    {
+        return size_ == 0 ? nullptr : cells() + best_;
+    }
+
+  private:
+    /** Cells the storage holds: 1 inline, else bit_ceil(size_). */
+    uint32_t capacity() const;
+
+    Cell *cells() { return heap_ != nullptr ? heap_ : &inline_; }
+    const Cell *
+    cells() const
+    {
+        return heap_ != nullptr ? heap_ : &inline_;
+    }
+
+    /** The 2 x @p cap index slots behind an indexed heap block of
+     *  capacity @p cap: a cell number + 1, or 0 when empty. */
+    uint32_t *
+    slots(uint32_t cap) const
+    {
+        return reinterpret_cast<uint32_t *>(heap_ + cap);
+    }
+
+    /** Number of the cell holding @p value, or UINT32_MAX. */
+    uint32_t find(uint64_t value) const;
+
+    /** Append @p cell, doubling the storage when it is full. */
+    void push(const Cell &cell);
+
+    /** Enter cell @p at into the index of a block of capacity
+     *  @p cap. */
+    void index(uint32_t at, uint32_t cap);
+
+    /** One cell inline: a context table node then fits a 96-byte
+     *  heap chunk (see FcmPredictor::KeyHash), where FcmFollowers'
+     *  two inline cells took 112 bytes. Lists of two or more cells
+     *  pay a heap block instead; on balance `vpexp figure3 --jobs 1`
+     *  peaks at 121 MB instead of 141 MB (4 vCPU Xeon). */
+    Cell inline_;
+    Cell *heap_ = nullptr;      ///< raw block: cells, then the index
+    uint32_t size_ = 0;
+    uint32_t best_ = 0;         ///< index of the argmax cell
+};
+
+static_assert(sizeof(IndexedFollowers) == 40);
+
+/**
  * Order-k finite context method predictor.
  *
  * Per static PC the predictor keeps the k most recent values (the
@@ -291,13 +384,16 @@ class FcmPredictor : public ValuePredictor
     /**
      * Hash for a concatenated value context. Transparent so lookups
      * can use a std::span view of the history without allocating.
+     * noexcept, so the map's nodes store no hash code (libstdc++
+     * caches it only for hashes that may throw): one context costs
+     * 16 bytes less.
      */
     struct KeyHash
     {
         using is_transparent = void;
 
         size_t
-        operator()(std::span<const uint64_t> key) const
+        operator()(std::span<const uint64_t> key) const noexcept
         {
             // Mixed FNV-ish hash over whole values.
             uint64_t hash = 1469598103934665603ull;
@@ -310,7 +406,7 @@ class FcmPredictor : public ValuePredictor
         }
 
         size_t
-        operator()(const std::vector<uint64_t> &key) const
+        operator()(const std::vector<uint64_t> &key) const noexcept
         {
             return (*this)(std::span<const uint64_t>(key));
         }
@@ -353,7 +449,8 @@ class FcmPredictor : public ValuePredictor
     };
 
     using ContextTable = std::unordered_map<std::vector<uint64_t>,
-                                            FcmFollowers, KeyHash, KeyEqual>;
+                                            IndexedFollowers, KeyHash,
+                                            KeyEqual>;
 
     /** All prediction state for one static instruction. */
     struct PcState
@@ -376,7 +473,10 @@ class FcmPredictor : public ValuePredictor
      * saving the caller a second table probe.
      */
     int longestMatch(const PcState &state,
-                     const FcmFollowers **followers = nullptr) const;
+                     const IndexedFollowers **followers = nullptr) const;
+
+    /** Bump @p value under every order lowest..max of @p state. */
+    void train(PcState &state, int lowest, uint64_t value);
 
     FcmConfig config_;
     std::unordered_map<uint64_t, PcState> table_;

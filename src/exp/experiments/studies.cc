@@ -429,43 +429,26 @@ policyName(core::Replacement policy)
 }
 
 /**
- * Bank layout, family-major: unbounded first, then budgets x policies
- * (policy-minor). The LRU points reuse the exact capacity-sweep specs
- * (boundedSpecFor canonicalises LRU to no suffix), so a combined
- * `vpexp capacity replacement` run dedups nothing *across* cells but
- * shares each workload's recorded trace.
+ * The study's own bank: the FIFO and random columns, family-major,
+ * then budget, then policy. The unbounded and LRU columns are
+ * capacity's members (boundedSpecFor canonicalises LRU to no suffix),
+ * so the study reads them from capacity's cells, which the scheduler
+ * runs once however many sweeps ask for them.
  */
 std::vector<std::string>
 replacementSweepSpecs()
 {
     std::vector<std::string> specs;
     for (const auto &family : capacityFamilies()) {
-        specs.push_back(family);
         for (const size_t entries : capacitySweepPoints()) {
-            for (const auto policy : replacementPolicies())
-                specs.push_back(
-                        boundedSpecFor(family, entries, policy));
+            for (const auto policy : replacementPolicies()) {
+                if (policy != core::Replacement::Lru)
+                    specs.push_back(
+                            boundedSpecFor(family, entries, policy));
+            }
         }
     }
     return specs;
-}
-
-size_t
-replacementSpecIndex(size_t family_index, size_t budget_index,
-                     size_t policy_index)
-{
-    const size_t per_budget = replacementPolicies().size();
-    const size_t stride = 1 + capacitySweepPoints().size() * per_budget;
-    return family_index * stride + 1 + budget_index * per_budget +
-           policy_index;
-}
-
-size_t
-replacementUnboundedIndex(size_t family_index)
-{
-    const size_t per_budget = replacementPolicies().size();
-    const size_t stride = 1 + capacitySweepPoints().size() * per_budget;
-    return family_index * stride;
 }
 
 SuiteOptions
@@ -479,11 +462,23 @@ replacementOptions()
 void
 runReplacement(ExperimentContext &ctx)
 {
+    const auto capacity = ctx.suite(capacitySweepOptions({}));
     const auto runs = ctx.suite(replacementOptions());
     const auto &families = capacityFamilies();
     const auto &points = capacitySweepPoints();
     const auto &policies = replacementPolicies();
     auto &report = ctx.report();
+
+    // Suite-mean accuracy of family f at budget p under policy pol
+    // (an index into replacementPolicies(), LRU first).
+    const auto accuracy = [&](size_t f, size_t p, size_t pol) {
+        if (pol == 0)
+            return meanAccuracyPct(capacity,
+                                   CapacitySweep::specIndex(f, p));
+        const size_t victims = policies.size() - 1;
+        return meanAccuracyPct(
+                runs, (f * points.size() + p) * victims + pol - 1);
+    };
 
     report.text("(16-way tables on the capacity-sweep grid; cells: "
                 "suite-mean accuracy %, paper averaging rule;\n"
@@ -506,14 +501,13 @@ runReplacement(ExperimentContext &ctx)
         table.rule();
 
         const double unbounded = meanAccuracyPct(
-                runs, replacementUnboundedIndex(f));
+                capacity, CapacitySweep::unboundedIndex(f));
         for (size_t p = 0; p < points.size(); ++p) {
             auto &row = table.row().cell(
                     static_cast<uint64_t>(points[p]));
             double best = 0.0, worst = 100.0;
             for (size_t pol = 0; pol < policies.size(); ++pol) {
-                const double acc = meanAccuracyPct(
-                        runs, replacementSpecIndex(f, p, pol));
+                const double acc = accuracy(f, p, pol);
                 best = std::max(best, acc);
                 worst = std::min(worst, acc);
                 row.cell(acc, 2);
@@ -699,17 +693,19 @@ aliasingTagWidths()
     return widths;
 }
 
-/** Bank layout, family-major: unbounded, then per budget the
- *  full-key baseline followed by the tag widths. */
+/**
+ * The study's own bank: the partial-tag columns, family-major, then
+ * budget, then tag width. The unbounded and full-key columns are
+ * capacity's members, read from capacity's cells (see
+ * replacementSweepSpecs).
+ */
 std::vector<std::string>
 aliasingSweepSpecs()
 {
     std::vector<std::string> specs;
     for (const auto &family : capacityFamilies()) {
-        specs.push_back(family);
         for (const size_t entries : capacitySweepPoints()) {
             const std::string base = boundedSpecFor(family, entries);
-            specs.push_back(base);
             for (const int bits : aliasingTagWidths()) {
                 std::string tagged = base;
                 tagged += "%";
@@ -719,24 +715,6 @@ aliasingSweepSpecs()
         }
     }
     return specs;
-}
-
-size_t
-aliasingSpecIndex(size_t family_index, size_t budget_index,
-                  size_t variant_index)     // 0 = full key, then tags
-{
-    const size_t per_budget = 1 + aliasingTagWidths().size();
-    const size_t stride = 1 + capacitySweepPoints().size() * per_budget;
-    return family_index * stride + 1 + budget_index * per_budget +
-           variant_index;
-}
-
-size_t
-aliasingUnboundedIndex(size_t family_index)
-{
-    const size_t per_budget = 1 + aliasingTagWidths().size();
-    const size_t stride = 1 + capacitySweepPoints().size() * per_budget;
-    return family_index * stride;
 }
 
 SuiteOptions
@@ -750,6 +728,7 @@ aliasingOptions()
 void
 runAliasing(ExperimentContext &ctx)
 {
+    const auto capacity = ctx.suite(capacitySweepOptions({}));
     const auto runs = ctx.suite(aliasingOptions());
     const auto &families = capacityFamilies();
     const auto &points = capacitySweepPoints();
@@ -783,12 +762,12 @@ runAliasing(ExperimentContext &ctx)
             auto &row = table.row().cell(
                     static_cast<uint64_t>(points[p]));
             const double full = meanAccuracyPct(
-                    runs, aliasingSpecIndex(f, p, 0));
+                    capacity, CapacitySweep::specIndex(f, p));
             row.cell(full, 2);
             double narrowest = full;
+            const size_t first = (f * points.size() + p) * widths.size();
             for (size_t w = 0; w < widths.size(); ++w) {
-                narrowest = meanAccuracyPct(
-                        runs, aliasingSpecIndex(f, p, 1 + w));
+                narrowest = meanAccuracyPct(runs, first + w);
                 row.cell(narrowest, 2);
             }
             row.cell(full - narrowest, 2);
@@ -798,7 +777,9 @@ runAliasing(ExperimentContext &ctx)
             }
         }
         auto &last = table.row().cell("unbounded");
-        last.cell(meanAccuracyPct(runs, aliasingUnboundedIndex(f)), 2);
+        last.cell(meanAccuracyPct(capacity,
+                                  CapacitySweep::unboundedIndex(f)),
+                  2);
         for (size_t w = 0; w <= widths.size(); ++w)
             last.cell("");
     }
@@ -927,7 +908,8 @@ registerStudies(ExperimentRegistry &registry)
         "where the victim policy matters vs where capacity "
         "dominates",
         [](const ExperimentConfig &) {
-            return std::vector<SuiteOptions>{replacementOptions()};
+            return std::vector<SuiteOptions>{capacitySweepOptions({}),
+                                             replacementOptions()};
         },
         runReplacement,
     });
@@ -949,7 +931,8 @@ registerStudies(ExperimentRegistry &registry)
         "constructive vs destructive aliasing as hardware tag "
         "widths shrink",
         [](const ExperimentConfig &) {
-            return std::vector<SuiteOptions>{aliasingOptions()};
+            return std::vector<SuiteOptions>{capacitySweepOptions({}),
+                                             aliasingOptions()};
         },
         runAliasing,
     });

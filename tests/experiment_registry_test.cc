@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "exp/experiment.hh"
+#include "exp/report.hh"
 
 namespace {
 
@@ -116,8 +119,64 @@ TEST(Registry, EveryExperimentDryRunsWithAnHonestGrid)
 
     // The registry-wide run must actually share work: far fewer
     // unique cells than requests (figures 3-7 share one bank, tables
-    // 2/4/5 another, capacity/replacement share each workload trace).
+    // 2/4/5 another, replacement and aliasing reuse capacity's).
     EXPECT_LT(scheduler.uniqueCells(), scheduler.requestedCells() / 2);
+}
+
+/** Prefetch @p names' grids, then run their hooks in order on
+ *  @p scheduler; returns each rendered report. */
+std::vector<std::string>
+runOn(CellScheduler &scheduler, const ExperimentConfig &config,
+      const std::vector<std::string> &names)
+{
+    for (const auto &name : names) {
+        for (const auto &suite : registry().find(name)->grid(config))
+            scheduler.prefetch(suite);
+    }
+    std::vector<std::string> reports;
+    for (const auto &name : names) {
+        ExperimentContext ctx(config, scheduler);
+        registry().find(name)->run(ctx);
+        reports.push_back(report_writer::renderText(ctx.report()));
+    }
+    return reports;
+}
+
+/**
+ * The capacity-grid sweeps share capacity's cells: replacement and
+ * aliasing read their unbounded and LRU / full-key columns from
+ * capacity's runs, so one run of all three replays each predictor
+ * once per workload, and each report is what a standalone run of
+ * that experiment prints.
+ */
+TEST(Registry, CapacityGridSweepsReplayEachPredictorOnce)
+{
+    ExperimentConfig config;
+    config.dryRun = true;
+    const std::vector<std::string> names = {"capacity", "replacement",
+                                            "aliasing"};
+    CellScheduler shared(config, 0);
+    const auto reports = runOn(shared, config, names);
+
+    std::set<std::tuple<std::string, int, std::string>> replayed;
+    for (const auto &record : shared.records()) {
+        for (const auto &member : record.predictors) {
+            EXPECT_TRUE(replayed
+                                .emplace(record.workload,
+                                         record.config.scale,
+                                         member.first)
+                                .second)
+                    << member.first << " on " << record.workload
+                    << " replayed by two cells";
+        }
+    }
+    EXPECT_FALSE(replayed.empty());
+
+    for (size_t i = 0; i < names.size(); ++i) {
+        CellScheduler alone(config, 0);
+        EXPECT_EQ(runOn(alone, config, {names[i]}).front(), reports[i])
+                << names[i];
+    }
 }
 
 } // anonymous namespace

@@ -3,10 +3,17 @@
  * Unit and property tests for the finite context method predictor —
  * Section 2.2 of the paper: exact contexts, blending with lazy
  * exclusion, learning times (Table 1 / Figure 2), and the counter
- * variants.
+ * variants — plus the unbounded predictor's IndexedFollowers checked
+ * against the FcmFollowers scan it replaced.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <random>
+#include <vector>
 
 #include "core/fcm.hh"
 #include "core/learning.hh"
@@ -346,6 +353,196 @@ TEST(Fcm, InterleavedConstantsFormAPattern)
     const auto result = analyzeLearning(pred, seq);
     for (size_t i = 8; i < seq.size(); ++i)
         EXPECT_TRUE(result.correctAt[i]) << i;
+}
+
+// ---------------------------------------------------------------------
+// IndexedFollowers against the FcmFollowers scan (the kept reference)
+// ---------------------------------------------------------------------
+
+/**
+ * One value of a test stream: stretches of hundreds of distinct values
+ * (long, indexed follower lists), round-robin stretches that keep
+ * counts tied (recency decides), and a few hot values with rare
+ * outliers (the halving path).
+ */
+uint64_t
+streamValue(std::mt19937_64 &rng, uint64_t step)
+{
+    switch ((step / 256) % 3) {
+      case 0:
+        return rng() % 600;
+      case 1:
+        return step % 5;
+      default:
+        return rng() % 4 == 0 ? rng() % 600 : rng() % 3;
+    }
+}
+
+TEST(IndexedFollowers, MatchesTheFollowerScan)
+{
+    for (const uint32_t counter_max : {0u, 1u, 3u, 15u}) {
+        std::deque<IndexedFollowers> indexed(8);
+        std::vector<FcmFollowers> scanned(8);
+        std::mt19937_64 rng(counter_max);
+        uint32_t longest = 0;
+        for (uint64_t seq = 1; seq <= 30000; ++seq) {
+            const size_t context = rng() % 8;
+            const uint64_t value = streamValue(rng, seq);
+            indexed[context].bump(value, seq, counter_max);
+            scanned[context].bump(value, seq, counter_max);
+            const auto *want = scanned[context].best();
+            const auto *got = indexed[context].best();
+            ASSERT_NE(got, nullptr);
+            ASSERT_EQ(got->value, want->value)
+                    << "counterMax " << counter_max << " step " << seq;
+            ASSERT_EQ(got->count, want->count);
+            ASSERT_EQ(got->seq, want->seq);
+            longest = std::max(longest, scanned[context].cells.size());
+        }
+        EXPECT_GT(longest, 4 * IndexedFollowers::kScanMax)
+                << "counterMax " << counter_max;
+        if (counter_max == 0)
+            EXPECT_GT(longest, 300u);
+    }
+}
+
+/**
+ * The unbounded fcm as written before the follower store: per PC an
+ * exact (context -> FcmFollowers) map per order, every lookup a scan.
+ */
+class ScanFcm
+{
+  public:
+    explicit ScanFcm(FcmConfig config) : config_(config) {}
+
+    Prediction
+    predict(uint64_t pc) const
+    {
+        const auto it = pcs_.find(pc);
+        if (it == pcs_.end())
+            return Prediction::none();
+        const State &state = it->second;
+        if (config_.blending == FcmBlending::None &&
+            static_cast<int>(state.history.size()) < config_.order) {
+            return Prediction::none();
+        }
+        int order = -1;
+        const FcmFollowers *followers = match(state, order);
+        if (followers == nullptr)
+            return Prediction::none();
+        return Prediction::of(followers->best()->value);
+    }
+
+    void
+    update(uint64_t pc, uint64_t value)
+    {
+        State &state = pcs_[pc];
+        if (state.tables.empty())
+            state.tables.resize(config_.order + 1);
+        int matched = -1;
+        match(state, matched);
+        int lowest = 0;
+        if (config_.blending == FcmBlending::None)
+            lowest = config_.order;
+        else if (config_.blending == FcmBlending::LazyExclusion)
+            lowest = std::max(matched, 0);
+        ++seq_;
+        const int top = std::min<int>(
+                config_.order, static_cast<int>(state.history.size()));
+        for (int j = top; j >= lowest; --j)
+            state.tables[j][key(state, j)].bump(value, seq_,
+                                                config_.counterMax);
+        state.history.push_back(value);
+        if (static_cast<int>(state.history.size()) > config_.order)
+            state.history.erase(state.history.begin());
+    }
+
+  private:
+    struct State
+    {
+        std::vector<uint64_t> history;
+        std::vector<std::map<std::vector<uint64_t>, FcmFollowers>> tables;
+    };
+
+    static std::vector<uint64_t>
+    key(const State &state, int j)
+    {
+        return {state.history.end() - j, state.history.end()};
+    }
+
+    const FcmFollowers *
+    match(const State &state, int &order) const
+    {
+        const int top = std::min<int>(
+                config_.order, static_cast<int>(state.history.size()));
+        const int bottom =
+                config_.blending == FcmBlending::None ? config_.order : 0;
+        for (int j = top; j >= bottom; --j) {
+            if (j >= static_cast<int>(state.tables.size()))
+                continue;
+            const auto it = state.tables[j].find(key(state, j));
+            if (it != state.tables[j].end() && !it->second.cells.empty()) {
+                order = j;
+                return &it->second;
+            }
+        }
+        return nullptr;
+    }
+
+    FcmConfig config_;
+    std::map<uint64_t, State> pcs_;
+    uint64_t seq_ = 0;
+};
+
+TEST(IndexedFollowers, PredictorMatchesTheScanReference)
+{
+    constexpr size_t kEvents = 8192;
+    for (const auto blending :
+         {FcmBlending::None, FcmBlending::Full,
+          FcmBlending::LazyExclusion}) {
+        for (const uint32_t counter_max : {0u, 1u, 3u, 15u}) {
+            for (const int order : {0, 1, 3}) {
+                const FcmConfig config{order, blending, counter_max};
+                ScanFcm reference(config);
+                FcmPredictor scalar(config);
+                FcmPredictor batched(config);
+                std::mt19937_64 rng(static_cast<uint64_t>(order) * 7 +
+                                    counter_max);
+                std::vector<uint64_t> pcs(kEvents), values(kEvents);
+                std::vector<uint64_t> valid(bits::words(kEvents));
+                std::vector<uint64_t> correct(bits::words(kEvents));
+                const auto label = ::testing::Message()
+                                   << fcmVariantName(config)
+                                   << " ceiling " << counter_max;
+                for (size_t i = 0; i < kEvents; ++i) {
+                    pcs[i] = rng() % 3;
+                    values[i] = streamValue(rng, i);
+                    const Prediction want = reference.predict(pcs[i]);
+                    const Prediction got = scalar.predict(pcs[i]);
+                    ASSERT_EQ(got.valid, want.valid) << label << " @" << i;
+                    if (want.valid) {
+                        ASSERT_EQ(got.value, want.value)
+                                << label << " @" << i;
+                        bits::set(valid.data(), i);
+                        if (want.value == values[i])
+                            bits::set(correct.data(), i);
+                    }
+                    reference.update(pcs[i], values[i]);
+                    scalar.update(pcs[i], values[i]);
+                }
+
+                std::vector<uint64_t> batch_valid(valid.size());
+                std::vector<uint64_t> batch_correct(correct.size());
+                for (size_t at = 0; at < kEvents; at += 512) {
+                    batched.trainBatch(pcs.data() + at, values.data() + at,
+                                       512, batch_valid.data() + at / 64,
+                                       batch_correct.data() + at / 64);
+                }
+                EXPECT_EQ(batch_valid, valid) << label;
+                EXPECT_EQ(batch_correct, correct) << label;
+            }
+        }
+    }
 }
 
 } // anonymous namespace

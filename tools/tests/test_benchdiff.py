@@ -170,6 +170,43 @@ class BenchdiffTest(unittest.TestCase):
             self.assertEqual(done.returncode, 1)
             self.assertEqual(done.stdout.count("WORSE"), len(names))
 
+    def test_trace_mode_summarises_every_per_layer_metric(self):
+        layers = benchdiff.load_benchmark()["per_layer"]
+
+        def traced(scale):
+            # Every per-layer metric at 100 times @p scale in its
+            # better direction (scale > 1 is better).
+            return {"correct": True, "attempted": 7, "failed": 0,
+                    "metrics": {m["name"]: {
+                        "value": 100 * scale if m["better"] == "higher"
+                        else 100 / scale, "unit": m["unit"]}
+                        for m in layers}}
+
+        # The change is 10x worse everywhere: no bound, so no verdict.
+        records = runs([traced(1)] * 3, [traced(0.1)] * 3)
+        summary = benchdiff.summarise(records, {"per_layer": layers},
+                                      trace=True)
+        self.assertTrue(summary["ok"])
+        self.assertEqual([r["name"] for r in summary["metrics"]],
+                         [m["name"] for m in layers])
+        self.assertTrue(all(r["wins"] == 0 and r["resolved"]
+                            for r in summary["metrics"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = os.path.join(tmp, "saved.json")
+            better = runs([traced(1)] * 3, [traced(2)] * 3)
+            with open(saved, "w") as f:
+                json.dump({"workload": "studies", "trace": True,
+                           "runs": better}, f)
+            done = subprocess.run(
+                [sys.executable, TOOL, "--read", saved],
+                capture_output=True, text=True)
+            self.assertEqual(done.returncode, 0, done.stderr)
+            for metric in layers:
+                self.assertIn(metric["name"], done.stdout)
+            self.assertEqual(done.stdout.count("3/3"), len(layers))
+            self.assertNotIn("WORSE", done.stdout)
+            self.assertNotIn("ok (", done.stdout)
+
     def test_usage_errors_exit_2(self):
         done = subprocess.run([sys.executable, TOOL],
                               capture_output=True, text=True)
