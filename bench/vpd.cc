@@ -107,7 +107,6 @@ int
 main(int argc, char **argv)
 {
     net::VpdServerConfig config;
-    config.banks.spec = "fcm3@1024/4096x4";
     bool smoke = false;
     std::string stats_tcp, stats_unix;
 

@@ -5,8 +5,8 @@
 # line-coverage summary. Any failure fails the script.
 #
 # Every registered test carries exactly one ctest label (unit |
-# golden | smoke); set VP_CTEST_LABEL to restrict each ctest run to
-# one label so CI can shard the suite across parallel jobs, e.g.
+# golden | smoke | static); set VP_CTEST_LABEL to restrict each ctest
+# run to one label so CI can shard the suite across parallel jobs, e.g.
 #   VP_CTEST_LABEL=unit ./scripts/ci.sh
 # The smoke label covers smoke_test plus the sharded vpexp registry
 # invocations (bench_smoke.vpexp_*), which exercise every registered
@@ -40,31 +40,10 @@ echo "==> lint (vplint + clang-tidy when available)"
 echo "==> default configuration"
 run_config build
 
-# Perf smoke: the batched-vs-scalar replay pairs, machine-readable.
-# Runs on the unsharded invocation (or an explicit perf shard) against
-# the Release build just produced; build/BENCH_hotpath.json is the
-# artifact CI uploads. The hard regression gate is the ctest-side
-# hotpath_guard_test; this step records the actual ratios.
+# The perf block: observability artifacts and the repository
+# benchmark's own checks. Runs on the unsharded invocation (or an
+# explicit perf shard) against the Release build just produced.
 if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
-    echo "==> perf smoke (batched hot path)"
-    if [[ -x build/bench/perf_predictors ]]; then
-        ./build/bench/perf_predictors --json \
-            --benchmark_filter=BM_Replay \
-            --benchmark_min_time=0.05 \
-            > build/BENCH_hotpath.json
-        echo "    wrote build/BENCH_hotpath.json"
-    else
-        echo "    perf_predictors not built (no google-benchmark); skipped"
-    fi
-    # vpd server loadgen: the seven workload traces replayed as
-    # concurrent loopback clients through the server,
-    # with the per-tenant byte-identity check against serial replay
-    # built in (the binary exits nonzero on any divergence).
-    echo "==> perf smoke (vpd server loadgen)"
-    ./build/bench/vpd_loadgen --scale 5 --clients 1,4 \
-        --out build/BENCH_vpd.json
-    echo "    wrote build/BENCH_vpd.json"
-
     # Observability smoke: one suite campaign with per-cell counters,
     # windowed telemetry, and a Chrome trace-event timeline. The
     # resulting BENCH_results.json (counters + windows for all seven
@@ -82,14 +61,17 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     # report CSV against perfbench/reference/{studies,paper}.json.
     # studies pins the bounded tables, paper the unbounded predictors
     # (the unbounded fcm's follower store must count exactly as the
-    # bounded tables' FcmFollowers do). Each exits nonzero
-    # on a mismatch; run.py builds into .bench_build. Last, the
-    # self-test of tools/benchdiff, which compares two checkouts'
-    # benchmark runs.
-    echo "==> perfbench self-test and studies/paper reference checks"
+    # bounded tables' FcmFollowers do). The serve_batch run checks
+    # every tenant vpd served against a local ShardedBankMap replay
+    # and counts each mismatched tenant as a failed operation. Each
+    # exits nonzero on a mismatch; run.py builds into .bench_build.
+    # Last, the self-test of tools/benchdiff, which compares two
+    # checkouts' benchmark runs.
+    echo "==> perfbench self-test and studies/paper/serve_batch checks"
     python3 -m unittest discover -s perfbench/tests
     python3 perfbench/run.py --workload studies --seed 0 --seconds 1
     python3 perfbench/run.py --workload paper --seed 0 --seconds 1
+    python3 perfbench/run.py --workload serve_batch --seed 0 --seconds 1
     python3 -m unittest discover -s tools/tests
 fi
 

@@ -2,7 +2,7 @@
  * @file
  * Blocking vpd client: one connection, synchronous request/reply.
  *
- * The client the loadgen's worker threads and the server tests use —
+ * The client perfbench's load threads and the server tests use —
  * each thread owns its own VpdClient (the class is not thread-safe;
  * the protocol is strictly request/reply per connection). Server-side
  * ERROR frames surface as ProtocolError with the server's typed code

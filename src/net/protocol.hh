@@ -239,7 +239,7 @@ void encodeError(std::vector<uint8_t> &out, ProtoError code,
 /**
  * Per-tenant statistics on the wire: the full PredictionStats counter
  * set (overall + per category), the payload the byte-identity tests
- * and the loadgen compare against a local serial replay.
+ * and perfbench's serve workloads compare against a local replay.
  */
 struct TenantStats
 {

@@ -343,7 +343,7 @@ obs::Snapshot
 VpdServer::statsSnapshot() const
 {
     // Import the atomic serve-side counters into a throwaway registry
-    // so STATS, `vpd --stats` and the loadgen all render one
+    // so STATS, `vpd --stats` and perfbench's pb_load all read one
     // obs::Snapshot through the same machinery as vpexp --stats.
     obs::Registry registry;
     registry.add("net.connections",

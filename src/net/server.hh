@@ -27,7 +27,7 @@
  * The STATS surface is an obs::Registry snapshot: serve-side
  * counters are plain atomics (many connection threads bump them),
  * imported into a throwaway single-owner Registry at STATS time so the
- * reply, `vpd --stats` and the loadgen all render one obs::Snapshot
+ * reply, `vpd --stats` and perfbench's pb_load all read one obs::Snapshot
  * the same way.
  */
 

@@ -63,8 +63,12 @@ namespace vp::net {
 
 struct ShardedBankConfig
 {
-    /** Predictor spec (exp::makePredictor grammar) built per bank. */
-    std::string spec = "fcm3";
+    /**
+     * Predictor spec (exp::makePredictor grammar) built per bank. The
+     * default is vpd's served spec: order-3 fcm with a 1024-entry VHT
+     * and a 4096-entry 4-way VPT, so a bank's memory is bounded.
+     */
+    std::string spec = "fcm3@1024/4096x4";
 
     /** Lock stripes; rounded up to a power of two, min 1. */
     unsigned stripes = 64;

@@ -10,8 +10,9 @@
  * median of five alternating runs each, with no other test running
  * (RUN_SERIAL in tests/CMakeLists.txt) — because unit tests run under
  * sanitizers and coverage instrumentation too, where absolute
- * speedups compress. BENCH_hotpath.json (bench/perf_predictors)
- * carries the real before/after numbers.
+ * speedups compress. The real per-event costs come from perfbench's
+ * traced run (the core.* layers; tools/benchdiff --trace compares two
+ * checkouts).
  */
 
 #include <gtest/gtest.h>

@@ -1,7 +1,9 @@
 /**
  * @file
  * End-to-end tests for the vpd server: request round trips,
- * concurrent-client byte-identity against serial replay, the STATS
+ * concurrent-client byte-identity against serial replay (synthetic
+ * streams, and the seven workload traces under vpd's default
+ * bounded spec), the STATS
  * surface, typed protocol errors over the wire, client disconnect
  * mid-frame, stop with in-flight requests, a peer that never reads
  * its replies, and Unix-socket transport.
@@ -14,7 +16,9 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -27,6 +31,8 @@
 #include "net/server.hh"
 #include "sim/driver.hh"
 #include "synth/sequences.hh"
+#include "vm/machine.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -62,7 +68,78 @@ serialReference(const std::vector<TraceEvent> &events,
     return net::TenantStats::from(bank.member(0).stats);
 }
 
-class VpdServerTest : public ::testing::Test
+/** @p info's trace at smoke scale (5%). */
+std::vector<TraceEvent>
+smokeTrace(const workloads::WorkloadInfo &info)
+{
+    workloads::WorkloadConfig config;
+    config.scale = 5;
+    vm::RecordingSink sink;
+    vm::Machine machine;
+    machine.setSink(&sink);
+    EXPECT_TRUE(machine.run(info.build(config)).ok()) << info.name;
+    return std::move(sink.events);
+}
+
+/**
+ * Streams served concurrently under one spec: tenant t is
+ * streams[tenants[t].second], sent by client tenants[t].first.
+ */
+struct ServedLoad
+{
+    std::string spec;
+    unsigned clients = 0;
+    std::vector<std::vector<TraceEvent>> streams;
+    std::vector<std::pair<unsigned, size_t>> tenants;
+};
+
+/** Five clients, each sending its own synthetic stream as one tenant. */
+ServedLoad
+syntheticLoad()
+{
+    ServedLoad load;
+    load.spec = "fcm3";
+    load.clients = 5;
+    for (unsigned c = 0; c < load.clients; ++c) {
+        load.streams.push_back(sampleStream(4000, 50 + c));
+        load.tenants.emplace_back(c, c);
+    }
+    return load;
+}
+
+/**
+ * The seven workload traces at smoke scale under vpd's default spec:
+ * four clients each send every trace, one tenant per (client,
+ * workload) pair.
+ */
+ServedLoad
+workloadLoad()
+{
+    ServedLoad load;
+    load.spec = net::ShardedBankConfig{}.spec;
+    load.clients = 4;
+    for (const auto &info : workloads::allWorkloads())
+        load.streams.push_back(smokeTrace(info));
+    for (unsigned c = 0; c < load.clients; ++c)
+        for (size_t w = 0; w < load.streams.size(); ++w)
+            load.tenants.emplace_back(c, w);
+    return load;
+}
+
+struct ServedInput
+{
+    const char *name;
+    ServedLoad (*load)();
+};
+
+/** Names the case: gtest_discover_tests puts GetParam() in its name. */
+void
+PrintTo(const ServedInput &input, std::ostream *os)
+{
+    *os << input.name;
+}
+
+class VpdServerTest : public ::testing::TestWithParam<ServedInput>
 {
   protected:
     net::VpdServerConfig
@@ -128,32 +205,35 @@ TEST_F(VpdServerTest, BatchMatchesSerialReplay)
     server.stop();
 }
 
-TEST_F(VpdServerTest, ConcurrentClientsByteIdentical)
+TEST_P(VpdServerTest, ConcurrentClientsByteIdentical)
 {
-    // The acceptance bar: >= 4 concurrent clients, each replaying its
-    // own stream as its own tenant; server-side per-tenant statistics
-    // must equal the serial single-bank replay exactly.
-    constexpr unsigned kClients = 5;
-    net::VpdServer server(baseConfig());
+    // The acceptance bar: >= 4 concurrent clients, each sending its
+    // streams in 256-event BATCH frames; server-side per-tenant
+    // statistics must equal the serial single-bank replay exactly.
+    const ServedLoad load = GetParam().load();
+    net::VpdServerConfig config;
+    config.banks.spec = load.spec;
+    net::VpdServer server(config);
     server.start();
-
-    std::vector<std::vector<TraceEvent>> streams;
-    for (unsigned c = 0; c < kClients; ++c)
-        streams.push_back(sampleStream(4000, 50 + c));
 
     std::vector<std::thread> workers;
     std::atomic<int> failures{0};
-    for (unsigned c = 0; c < kClients; ++c) {
+    for (unsigned c = 0; c < load.clients; ++c) {
         workers.emplace_back([&, c] {
             try {
                 auto client =
                         net::VpdClient::connectTcp(server.port());
-                const auto &events = streams[c];
-                for (size_t i = 0; i < events.size(); i += 256) {
-                    const size_t n =
-                            std::min<size_t>(256, events.size() - i);
-                    client.batch(c, vm::TraceSpan(events.data() + i,
-                                                  n));
+                for (uint64_t t = 0; t < load.tenants.size(); ++t) {
+                    if (load.tenants[t].first != c)
+                        continue;
+                    const auto &events =
+                            load.streams[load.tenants[t].second];
+                    for (size_t i = 0; i < events.size(); i += 256) {
+                        const size_t n = std::min<size_t>(
+                                256, events.size() - i);
+                        client.batch(t, vm::TraceSpan(events.data() + i,
+                                                      n));
+                    }
                 }
             } catch (...) {
                 ++failures;
@@ -164,15 +244,23 @@ TEST_F(VpdServerTest, ConcurrentClientsByteIdentical)
         worker.join();
     EXPECT_EQ(failures.load(), 0);
 
+    std::vector<net::TenantStats> references;
+    for (const auto &events : load.streams)
+        references.push_back(serialReference(events, load.spec));
     auto checker = net::VpdClient::connectTcp(server.port());
-    for (unsigned c = 0; c < kClients; ++c) {
-        const auto stats = checker.tenantStats(c);
-        ASSERT_TRUE(stats.has_value()) << "tenant " << c;
-        EXPECT_EQ(*stats, serialReference(streams[c], "fcm3"))
-                << "tenant " << c;
+    for (uint64_t t = 0; t < load.tenants.size(); ++t) {
+        const auto stats = checker.tenantStats(t);
+        ASSERT_TRUE(stats.has_value()) << "tenant " << t;
+        EXPECT_EQ(*stats, references[load.tenants[t].second])
+                << "tenant " << t;
     }
     server.stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+        Served, VpdServerTest,
+        ::testing::Values(ServedInput{"Synthetic", syntheticLoad},
+                          ServedInput{"Workloads", workloadLoad}));
 
 TEST_F(VpdServerTest, StatsSurface)
 {
