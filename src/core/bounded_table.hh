@@ -44,6 +44,10 @@
 #include <unordered_map>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "core/hugepage.hh"
 
 namespace vp::core {
@@ -117,10 +121,22 @@ struct BoundedTableConfig
  * Fixed-capacity key -> Entry map organised as sets x ways.
  *
  * The set-associative mode stores slots in a structure-of-arrays
- * layout — keys, age stamps, validity and entry payloads in
- * parallel flat arrays — so the hot probe loop walks a dense run of
- * 8-byte keys (one cache line covers a whole set and its neighbours)
- * and the payload array is only dereferenced on a hit or a victim.
+ * layout — keys, age stamps, control bytes and entry payloads in
+ * parallel flat arrays — and the payload array is only dereferenced
+ * on a hit or a victim. Each slot's control byte is 0 when the slot
+ * is empty and otherwise 0x80 | 7 hash bits of its stored tag
+ * (controlOf()). A probe compares the set's control bytes with the
+ * key's first and reads only the keys of the ways whose byte matched,
+ * in ascending way order, so the hit way and the probe depth are
+ * those of a plain scan. Sets of a multiple of 16 ways compare a
+ * group of 16 control bytes in one SSE2 instruction (a scalar loop
+ * where SSE2 is absent), which matters because a 16-way set's keys
+ * span two cache lines while its control bytes sit in one; a miss
+ * then reads no key at all, and its insert takes the first empty way
+ * from the same group compare. 4-way sets keep a branchless compare
+ * over their four ways, and other widths a scalar byte loop. Because
+ * the byte derives from the stored tag, equal tags always share it,
+ * and partial-tag aliasing is exactly that of a full tag compare.
  * prefetch() issues a software prefetch of a key's set, which batched
  * replay uses to overlap the next events' table misses with the
  * current event's work. The fully associative mode (ways == 0) keeps
@@ -134,15 +150,16 @@ struct BoundedTableConfig
  * neither write nor read the stamps, so that array stays unfaulted.
  *
  * Every array starts out zero-filled and untouched (core/hugepage.hh):
- * an all-zero slot is an invalid one, so building a table writes no
+ * an all-zero slot is an empty one, so building a table writes no
  * page, and a page is first faulted in by the first touch of one of
  * its sets.
  *
- * Invariant: a slot whose valid_ byte is 0 holds an empty Entry{} and
+ * Invariant: a slot whose control byte is 0 holds an empty Entry{} and
  * so owns no resource (no heap cells of a spilled FcmFollowers list).
  * Such a slot is zero-filled storage, or was reset by clear(), which
- * overwrites every payload; valid_ goes back to 0 nowhere else, and an
- * insert overwrites its slot with Entry{} before marking it valid.
+ * overwrites every payload; a control byte goes back to 0 nowhere
+ * else, and an insert overwrites its slot with Entry{} before setting
+ * the byte.
  * Teardown relies on it: the destructor skips runs of slots with no
  * live slot, so freeing a table reads no page that no event touched.
  *
@@ -174,7 +191,7 @@ class BoundedTable
             tagMask_ = (uint64_t{1} << config_.tagBits) - 1;
         keys_.resize(config_.entries);
         stamps_.resize(config_.entries);
-        valid_.resize(config_.entries);
+        ctrl_.resize(config_.entries);
         entries_.resize(config_.entries);
         if (fullyAssociative()) {
             index_.reserve(config_.entries);
@@ -194,7 +211,7 @@ class BoundedTable
     /**
      * Destroys the payloads of each page-sized run of slots that holds
      * a live slot, and releases the other runs unread (see the
-     * invariant in the class comment). Destroying an invalid slot of
+     * invariant in the class comment). Destroying an empty slot of
      * a live run is a no-op on its empty Entry{}; one check per run
      * instead of per slot keeps dense tables as cheap to free as when
      * every slot was destroyed.
@@ -205,8 +222,8 @@ class BoundedTable
             constexpr size_t run = std::max<size_t>(1, 4096 / sizeof(Entry));
             for (size_t first = 0; first < entries_.size(); first += run) {
                 const size_t last = std::min(first + run, entries_.size());
-                if (std::any_of(valid_.begin() + first,
-                                valid_.begin() + last,
+                if (std::any_of(ctrl_.begin() + first,
+                                ctrl_.begin() + last,
                                 [](uint8_t live) { return live != 0; })) {
                     std::destroy(entries_.begin() + first,
                                  entries_.begin() + last);
@@ -216,6 +233,20 @@ class BoundedTable
     }
 
     bool fullyAssociative() const { return config_.ways == 0; }
+
+    /**
+     * The control byte of a slot storing @p tag: 0x80 | the top 7 bits
+     * of a multiplicative hash of the tag. The set index takes the low
+     * bits of the key, so these bits still differ between the keys of
+     * one set. Public so tests can build keys that share a byte.
+     */
+    static uint8_t
+    controlOf(uint64_t tag)
+    {
+        return static_cast<uint8_t>(
+                0x80u | ((tag * 0x9e3779b97f4a7c15ull) >> 57));
+    }
+
     size_t capacity() const { return config_.entries; }
     size_t size() const { return live_; }
     uint64_t evictions() const { return evictions_; }
@@ -362,10 +393,13 @@ class BoundedTable
         // No stamp-line prefetch: the hit path only *stores* to the
         // stamp array (absorbed by the store buffer, not latency
         // critical), and spending a fill-buffer slot per probe on it
-        // starves the prefetches that do feed dependent loads.
+        // starves the prefetches that do feed dependent loads. The
+        // key prefetch covers the first 8 ways of the set: all of a
+        // 4- or 8-way set, half of a 16-way one, whose probe reads
+        // only the keys its control bytes select.
         const size_t base = setBase(key);
         __builtin_prefetch(keys_.data() + base);
-        __builtin_prefetch(valid_.data() + base);
+        __builtin_prefetch(ctrl_.data() + base);
         // The payload span of a whole set can cross several cache
         // lines (ways * sizeof(Entry) bytes) and which way will hit is
         // unknowable before the probe, so fetch them all. Callers with
@@ -382,7 +416,7 @@ class BoundedTable
 #endif
     }
 
-    /** prefetch() restricted to the probe metadata (key and valid
+    /** prefetch() restricted to the probe metadata (key and control
      *  lines) — pair with probeSlot() + prefetchEntryAt() to fetch
      *  the one payload way that will actually be read. */
     void
@@ -393,7 +427,7 @@ class BoundedTable
             return;
         const size_t base = setBase(key);
         __builtin_prefetch(keys_.data() + base);
-        __builtin_prefetch(valid_.data() + base);
+        __builtin_prefetch(ctrl_.data() + base);
 #else
         (void)key;
 #endif
@@ -443,7 +477,7 @@ class BoundedTable
                 bool *aliased = nullptr)
     {
         ++hintedTouches_;
-        if (slot != SIZE_MAX && !fullyAssociative() && valid_[slot] &&
+        if (slot != SIZE_MAX && !fullyAssociative() && ctrl_[slot] != 0 &&
             tagOf(keys_[slot]) == tagOf(key)) {
             ++hintedTouchHits_;
             inserted = false;
@@ -473,7 +507,7 @@ class BoundedTable
         if (inserted) {
             entries_[s] = Entry{};
             keys_[s] = key;
-            valid_[s] = 1;
+            ctrl_[s] = controlOf(tagOf(key));
         } else if (keys_[s] != key) {
             ++aliasedTouches_;
             keys_[s] = key;
@@ -489,7 +523,7 @@ class BoundedTable
     {
         std::fill(keys_.begin(), keys_.end(), 0);
         std::fill(stamps_.begin(), stamps_.end(), 0);
-        std::fill(valid_.begin(), valid_.end(), 0);
+        std::fill(ctrl_.begin(), ctrl_.end(), 0);
         std::fill(entries_.begin(), entries_.end(), Entry{});
         index_.clear();
         live_ = 0;
@@ -542,29 +576,66 @@ class BoundedTable
         return tagMask_ != 0 ? key & tagMask_ : key;
     }
 
+    /** Whether sets are probed 16 control bytes at a time. */
+    bool
+    grouped() const
+    {
+        return config_.ways % 16 == 0;
+    }
+
+    /** Bit i set iff byte i of the 16 at @p group equals @p byte. */
+    static unsigned
+    matchGroup(const uint8_t *group, uint8_t byte)
+    {
+#if defined(__SSE2__)
+        const __m128i bytes = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(group));
+        return static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpeq_epi8(
+                bytes, _mm_set1_epi8(static_cast<char>(byte)))));
+#else
+        unsigned mask = 0;
+        for (unsigned i = 0; i < 16; ++i)
+            mask |= static_cast<unsigned>(group[i] == byte) << i;
+        return mask;
+#endif
+    }
+
     /**
-     * First way of @p key's set whose live tag matches, or -1. The
-     * 4-way layout (the default geometry everywhere) is resolved
-     * branchlessly — the matching way is data-dependent, so a
-     * short-circuiting scan pays a mispredicted branch on nearly
-     * every probe.
+     * First way of @p key's set whose live tag matches, or -1 (see
+     * the class comment). The 4-way layout (the default geometry
+     * everywhere) is resolved branchlessly — the matching way is
+     * data-dependent, so a short-circuiting scan pays a mispredicted
+     * branch on nearly every probe.
      */
     int
     hitWay(size_t base, uint64_t key) const
     {
         const uint64_t tag = tagOf(key);
+        const uint8_t ctrl = controlOf(tag);
         if (config_.ways == 4) {
             unsigned mask = 0;
             for (unsigned w = 0; w < 4; ++w) {
                 mask |= static_cast<unsigned>(
-                                valid_[base + w] != 0 &&
+                                ctrl_[base + w] == ctrl &&
                                 tagOf(keys_[base + w]) == tag)
                         << w;
             }
             return mask != 0 ? std::countr_zero(mask) : -1;
         }
+        if (grouped()) {
+            for (size_t g = 0; g < config_.ways; g += 16) {
+                for (unsigned m = matchGroup(&ctrl_[base + g], ctrl);
+                     m != 0; m &= m - 1) {
+                    const size_t w = g + static_cast<size_t>(
+                                                 std::countr_zero(m));
+                    if (tagOf(keys_[base + w]) == tag)
+                        return static_cast<int>(w);
+                }
+            }
+            return -1;
+        }
         for (size_t w = 0; w < config_.ways; ++w) {
-            if (valid_[base + w] && tagOf(keys_[base + w]) == tag)
+            if (ctrl_[base + w] == ctrl && tagOf(keys_[base + w]) == tag)
                 return static_cast<int>(w);
         }
         return -1;
@@ -600,10 +671,9 @@ class BoundedTable
     size_t
     touchSet(uint64_t key, bool &inserted)
     {
-        // Hit detection first, touching only the key/valid arrays: the
-        // common steady-state case then never loads the set's stamps
-        // (the victim scan below does), which keeps the hot probe to
-        // two cache lines.
+        // Hit detection first, touching only the key/control arrays:
+        // the common steady-state case then never loads the set's
+        // stamps (the victim scan below does).
         const size_t base = setBase(key);
         const int hit = hitWay(base, key);
         noteProbe(probedWays(hit));
@@ -612,11 +682,21 @@ class BoundedTable
             return base + static_cast<size_t>(hit);
         }
         inserted = true;
+        if (grouped()) {
+            for (size_t g = 0; g < config_.ways; g += 16) {
+                const unsigned empty = matchGroup(&ctrl_[base + g], 0);
+                if (empty != 0) {
+                    ++live_;
+                    return base + g +
+                           static_cast<size_t>(std::countr_zero(empty));
+                }
+            }
+        }
         const bool random = config_.replacement == Replacement::Random;
         size_t oldest = base;
         for (size_t w = 0; w < config_.ways; ++w) {
             const size_t s = base + w;
-            if (!valid_[s]) {
+            if (ctrl_[s] == 0) {
                 ++live_;
                 return s;
             }
@@ -687,11 +767,12 @@ class BoundedTable
 
     BoundedTableConfig config_;
     // Structure-of-arrays slot storage (see the class comment): the
-    // probe loop reads keys_/valid_ only; entries_ is touched on hits
-    // and victims, stamps on stamping touches and victim scans.
+    // probe loop reads ctrl_ and the keys_ it selects; entries_ is
+    // touched on hits and victims, stamps on stamping touches and
+    // victim scans.
     Array<uint64_t> keys_;
     Array<uint64_t> stamps_;                ///< victim age (see class doc)
-    Array<uint8_t> valid_;
+    Array<uint8_t> ctrl_;                   ///< 0 = empty (see class doc)
     std::vector<Entry, SlotAllocator<Entry>> entries_;
     std::unordered_map<uint64_t, size_t> index_;    // fa: tag -> slot
     size_t sets_ = 0;                               // set-assoc mode

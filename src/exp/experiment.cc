@@ -1,6 +1,7 @@
 #include "exp/experiment.hh"
 
 #include <chrono>
+#include <cstddef>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,21 +32,33 @@ normalizeCellOptions(SuiteOptions options, const ExperimentConfig &config)
 namespace {
 
 /**
- * Dedup key of one cell: every normalized-options field that can
- * change a BenchmarkRun, plus the workload. The benchmarks list is
- * deliberately absent — a cell is one workload.
+ * The trace half of a cell's dedup key: the workload and the
+ * configuration fields that pick its recorded trace.
  */
 std::string
-cellKey(const std::string &workload, const SuiteOptions &options)
+traceKey(const std::string &workload, const SuiteOptions &options)
 {
     std::ostringstream key;
     key << workload << '\x1f' << options.config.input << '\x1f'
         << options.config.flags << '\x1f' << options.config.scale
-        << '\x1f' << options.overlap << '\x1f' << options.improvementA
-        << '\x1f' << options.improvementB << '\x1f' << options.values
-        << '\x1f' << options.traceReplay << '\x1f'
-        << options.traceCacheDir << '\x1f' << options.windowEvents
         << '\x1f';
+    return key.str();
+}
+
+/**
+ * The bank half: every other normalized-options field that can
+ * change a BenchmarkRun. traceKey + bankKey is a cell's dedup key;
+ * the benchmarks list is deliberately absent — a cell is one
+ * workload.
+ */
+std::string
+bankKey(const SuiteOptions &options)
+{
+    std::ostringstream key;
+    key << options.overlap << '\x1f' << options.improvementA << '\x1f'
+        << options.improvementB << '\x1f' << options.values << '\x1f'
+        << options.traceReplay << '\x1f' << options.traceCacheDir
+        << '\x1f' << options.windowEvents << '\x1f';
     for (const auto &spec : options.predictors)
         key << spec << '\x1e';
     return key.str();
@@ -93,6 +106,32 @@ CellScheduler::~CellScheduler()
         thread.join();
 }
 
+/** The pick rules of the class comment, in order. */
+size_t
+CellScheduler::pickNext(std::optional<double> &estimate_ms) const
+{
+    for (size_t i = 0; i < queue_.size(); ++i) {
+        if (!queue_[i].trace->started)
+            return i;
+    }
+    for (size_t i = 0; i < queue_.size(); ++i) {
+        if (!queue_[i].bank->started)
+            return i;
+    }
+    size_t longest = queue_.size();
+    for (size_t i = 0; i < queue_.size(); ++i) {
+        const QueuedCell &cell = queue_[i];
+        if (!cell.trace->measured || !cell.bank->measured)
+            continue;
+        const double ms = cell.bank->value * cell.trace->value;
+        if (longest == queue_.size() || ms > *estimate_ms) {
+            longest = i;
+            estimate_ms = ms;
+        }
+    }
+    return longest < queue_.size() ? longest : 0;
+}
+
 void
 CellScheduler::workerLoop()
 {
@@ -106,8 +145,14 @@ CellScheduler::workerLoop()
                 available_.wait(mutex_);
             if (queue_.empty())
                 return;     // stop requested and queue drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
+            std::optional<double> estimate_ms;
+            const size_t next = pickNext(estimate_ms);
+            QueuedCell &cell = queue_[next];
+            cell.trace->started = true;
+            cell.bank->started = true;
+            records_[cell.id].estimatedMs = estimate_ms;
+            task = std::move(cell.task);
+            queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(next));
         }
         task();
     }
@@ -136,7 +181,9 @@ std::shared_future<BenchmarkRun>
 CellScheduler::submit(const std::string &workload,
                       const SuiteOptions &options, size_t *id)
 {
-    const std::string key = cellKey(workload, options);
+    const std::string trace_key = traceKey(workload, options);
+    const std::string bank_key = bankKey(options);
+    const std::string key = trace_key + bank_key;
     const util::MutexLock lock(mutex_);
     ++requested_;
     if (const auto it = cells_.find(key); it != cells_.end()) {
@@ -163,8 +210,11 @@ CellScheduler::submit(const std::string &workload,
     auto promise = std::make_shared<std::promise<BenchmarkRun>>();
     std::shared_future<BenchmarkRun> future =
             promise->get_future().share();
-    queue_.emplace_back([this, cell_id, workload, cell_options, cell_obs,
-                         submitted, promise] {
+    Cost *trace = &traces_[trace_key];
+    Cost *bank = &banks_[bank_key];
+    std::packaged_task<void()> task([this, cell_id, workload, cell_options,
+                                     cell_obs, submitted, promise, trace,
+                                     bank] {
         const auto start = Clock::now();
         try {
             BenchmarkRun run;
@@ -189,18 +239,34 @@ CellScheduler::submit(const std::string &workload,
                 rec.counters = cell_obs->registry.snapshot();
                 rec.done = true;
                 ++cellsDone_;
+                // The first finished cell of a trace and of a bank
+                // measures it for the pick rules.
+                if (!trace->measured) {
+                    trace->measured = true;
+                    trace->value = static_cast<double>(rec.events);
+                }
+                if (!bank->measured && rec.events != 0) {
+                    bank->measured = true;
+                    bank->value =
+                            wall_ms / static_cast<double>(rec.events);
+                }
             }
             promise->set_value(std::move(run));
         } catch (...) {
             // A failed cell is finished too: progress must still reach
-            // the total (its record stays done == false).
+            // the total (its record stays done == false). It measures
+            // nothing, and lets the next cell of its trace and bank
+            // record and measure them.
             {
                 const util::MutexLock lock(mutex_);
                 ++cellsDone_;
+                trace->started = trace->measured;
+                bank->started = bank->measured;
             }
             promise->set_exception(std::current_exception());
         }
     });
+    queue_.push_back(QueuedCell{cell_id, trace, bank, std::move(task)});
     available_.notify_one();
 
     cells_.emplace(key, std::make_pair(cell_id, future));

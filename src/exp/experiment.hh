@@ -21,7 +21,10 @@
  *    workload pay for VM execution once per process;
  *  - a fixed worker pool (--jobs) crunches the prefetched grid of
  *    every selected experiment at once, so a multi-experiment run is
- *    never slower than running the legacy binaries serially.
+ *    never slower than running the legacy binaries serially;
+ *  - a free worker picks the queued cell expected to take longest,
+ *    from costs the run itself measured, so the heavy cells do not
+ *    queue up at the end and the workers finish together.
  *
  * Results are byte-identical to a serial runSuite regardless of the
  * worker count: cells are independent (fresh predictor bank per cell)
@@ -35,6 +38,7 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,6 +104,26 @@ SuiteOptions normalizeCellOptions(SuiteOptions options,
  * cell (unknown workload, unbuildable predictor spec) rethrow from
  * every suite() that requested it, first failing workload in request
  * order.
+ *
+ * A cell is a trace (workload, input, flags, scale) replayed into a
+ * bank (the rest of its key: specs, trackers, window). A free worker
+ * takes the first queued cell that matches, checking in order:
+ *
+ *  1. the oldest cell whose trace no cell has started: it records
+ *     the trace;
+ *  2. the oldest cell whose bank no cell has started: it measures the
+ *     bank's cost;
+ *  3. the cell with the largest estimate, the bank's ms per event
+ *     (from its first finished cell) times the trace's events (from
+ *     that trace's first finished cell); ties keep submission order;
+ *  4. the oldest cell.
+ *
+ * This is longest-processing-time-first list scheduling with costs
+ * the run itself observed, so the heavy cells start early rather than
+ * forming the tail. A failed cell measures nothing, and its trace and
+ * bank count as unstarted again until some cell measures them. Cell
+ * ids stay in submission order, and no result depends on the order
+ * cells run in.
  */
 class CellScheduler
 {
@@ -122,6 +146,12 @@ class CellScheduler
         /** Dynamic eligible (predicted) events the cell replayed;
          *  wallMs * 1e6 / events is the cell's ns-per-event. */
         uint64_t events = 0;
+
+        /** The scheduler's wall-time estimate when it picked the cell
+         *  by estimate (rule 3 in the class comment); absent for
+         *  cells picked to record a trace, to measure a bank, or in
+         *  submission order. */
+        std::optional<double> estimatedMs;
 
         /** (spec, stats) per predictor, bank order. */
         std::vector<std::pair<std::string, core::PredictionStats>>
@@ -184,9 +214,30 @@ class CellScheduler
   private:
     struct CellObs;
 
+    /** What the pick rules know of one trace or one bank. */
+    struct Cost
+    {
+        bool started = false;   ///< a cell of it started and did not fail
+        bool measured = false;  ///< a cell of it finished: value holds
+        double value = 0.0;     ///< trace: events; bank: ms per event
+    };
+
+    /** A queued cell: its trace's and bank's costs (nodes of traces_
+     *  and banks_, so the pointers stay valid) and the task that runs
+     *  it and fulfills its promise. */
+    struct QueuedCell
+    {
+        size_t id = 0;
+        Cost *trace = nullptr;
+        Cost *bank = nullptr;
+        std::packaged_task<void()> task;
+    };
+
     std::shared_future<BenchmarkRun> submit(const std::string &workload,
                                             const SuiteOptions &options,
                                             size_t *id);
+    size_t pickNext(std::optional<double> &estimate_ms) const
+            VP_REQUIRES(mutex_);
     void workerLoop();
 
     ExperimentConfig config_;
@@ -198,7 +249,9 @@ class CellScheduler
     /** One task per cell; it fulfills the cell's promise itself, so
      *  no task ever blocks on another and any worker count drains the
      *  queue. */
-    std::deque<std::packaged_task<void()>> queue_ VP_GUARDED_BY(mutex_);
+    std::deque<QueuedCell> queue_ VP_GUARDED_BY(mutex_);
+    std::map<std::string, Cost> traces_ VP_GUARDED_BY(mutex_);
+    std::map<std::string, Cost> banks_ VP_GUARDED_BY(mutex_);
     std::map<std::string,
              std::pair<size_t, std::shared_future<BenchmarkRun>>>
             cells_ VP_GUARDED_BY(mutex_);

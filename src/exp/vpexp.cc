@@ -356,8 +356,12 @@ resultsJson(const std::vector<ExperimentOutcome> &outcomes,
             << record.config.scale << ", \"done\": "
             << (record.done ? "true" : "false") << ", \"wallMs\": "
             << jsonNumber(record.wallMs) << ", \"queuedMs\": "
-            << jsonNumber(record.queuedMs) << ", \"events\": "
-            << record.events << ", \"nsPerEvent\": "
+            << jsonNumber(record.queuedMs);
+        if (record.estimatedMs) {
+            out << ", \"estimatedMs\": "
+                << jsonNumber(*record.estimatedMs);
+        }
+        out << ", \"events\": " << record.events << ", \"nsPerEvent\": "
             << jsonNumber(record.events
                                   ? record.wallMs * 1e6 /
                                             static_cast<double>(

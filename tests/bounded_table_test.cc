@@ -1,0 +1,419 @@
+/**
+ * @file
+ * Differential test of BoundedTable's control-byte probe
+ * (core/bounded_table.hh) against a test-local model of the plain
+ * probe it replaced: one valid byte per slot and a scan of the set's
+ * ways in ascending order.
+ *
+ * After every step the two must agree on the hit way, the inserted
+ * and aliased flags, the payload the step reads, and every counter
+ * the table keeps (live entries, evictions, alias counts, probes and
+ * the probe-depth histogram). The streams cover every probe shape —
+ * 1, 2, 4 and 8 ways (scalar or 4-way branchless), 16 and 32 ways
+ * (groups of 16 control bytes) and the fully associative table —
+ * under full and partial tags and every replacement policy, plus sets
+ * whose live keys all share one control byte.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <random>
+#include <unordered_map>
+#include <vector>
+
+#include "core/bounded_table.hh"
+
+namespace {
+
+using namespace vp::core;
+
+using Table = BoundedTable<uint64_t>;
+
+/** The reference: valid bytes and an in-order scan of the set. */
+class ScanModel
+{
+  public:
+    explicit ScanModel(const BoundedTableConfig &config)
+        : config_(config), keys_(config.entries), stamps_(config.entries),
+          valid_(config.entries), values_(config.entries),
+          rng_(config.seed | 1)
+    {
+        if (config.tagBits > 0)
+            tagMask_ = (uint64_t{1} << config.tagBits) - 1;
+        if (config.ways != 0)
+            sets_ = config.entries / config.ways;
+    }
+
+    /** The slot @p key hits, or SIZE_MAX; counted as a probe. */
+    size_t
+    peek(uint64_t key)
+    {
+        const size_t slot = find(key);
+        if (slot != SIZE_MAX && keys_[slot] != key)
+            ++telemetry.aliasedPeeks;
+        return slot;
+    }
+
+    /** The slot @p key hits, or SIZE_MAX; not counted. */
+    size_t
+    probeSlot(uint64_t key)
+    {
+        const BoundedTableTelemetry before = telemetry;
+        const size_t slot = find(key);
+        telemetry = before;
+        return slot;
+    }
+
+    /** A touch; one with a @p hint slot that still holds a live entry
+     *  of @p key's tag skips the probe, as BoundedTable::touchHinted
+     *  does. */
+    size_t
+    touch(uint64_t key, bool &inserted, bool &aliased,
+          size_t hint = SIZE_MAX)
+    {
+        ++tick_;
+        const bool trusted = hint != SIZE_MAX && config_.ways != 0 &&
+                             valid_[hint] &&
+                             tagOf(keys_[hint]) == tagOf(key);
+        size_t slot = trusted ? hint : find(key);
+        inserted = slot == SIZE_MAX;
+        aliased = false;
+        if (inserted)
+            slot = victim(key);
+        if (config_.replacement == Replacement::Lru ||
+            (inserted && config_.replacement == Replacement::Fifo))
+            stamps_[slot] = tick_;
+        if (inserted) {
+            keys_[slot] = key;
+            valid_[slot] = 1;
+            values_[slot] = 0;
+        } else if (keys_[slot] != key) {
+            ++telemetry.aliasedTouches;
+            keys_[slot] = key;
+            aliased = true;
+        }
+        return slot;
+    }
+
+    uint64_t &value(size_t slot) { return values_[slot]; }
+
+    /** live, evictions, alias and probe counts, as the table keeps. */
+    BoundedTableTelemetry telemetry;
+
+  private:
+    uint64_t
+    tagOf(uint64_t key) const
+    {
+        return tagMask_ != 0 ? key & tagMask_ : key;
+    }
+
+    size_t
+    setBase(uint64_t key) const
+    {
+        const uint64_t folded = key ^ (key >> 32) ^ (key >> 16);
+        return static_cast<size_t>(folded % sets_) * config_.ways;
+    }
+
+    void
+    noteProbe(size_t depth)
+    {
+        ++telemetry.probes;
+        ++telemetry.probeDepth[std::min(depth,
+                                        BoundedTableTelemetry::maxDepth)];
+    }
+
+    size_t
+    find(uint64_t key)
+    {
+        if (config_.ways == 0) {
+            noteProbe(1);
+            const auto it = index_.find(tagOf(key));
+            return it == index_.end() ? SIZE_MAX : it->second;
+        }
+        const size_t base = setBase(key);
+        for (size_t w = 0; w < config_.ways; ++w) {
+            if (valid_[base + w] && tagOf(keys_[base + w]) == tagOf(key)) {
+                noteProbe(w + 1);
+                return base + w;
+            }
+        }
+        noteProbe(config_.ways);
+        return SIZE_MAX;
+    }
+
+    uint64_t
+    nextRandom()
+    {
+        rng_ ^= rng_ << 13;
+        rng_ ^= rng_ >> 7;
+        rng_ ^= rng_ << 17;
+        return rng_;
+    }
+
+    /** Oldest stamp among [first, first + n), first one on ties. */
+    size_t
+    oldest(size_t first, size_t n) const
+    {
+        size_t best = first;
+        for (size_t s = first; s < first + n; ++s) {
+            if (stamps_[s] < stamps_[best])
+                best = s;
+        }
+        return best;
+    }
+
+    size_t
+    victim(uint64_t key)
+    {
+        const bool random = config_.replacement == Replacement::Random;
+        if (config_.ways == 0) {
+            size_t slot;
+            if (telemetry.live < config_.entries) {
+                slot = telemetry.live++;
+            } else {
+                ++telemetry.evictions;
+                slot = random ? nextRandom() % config_.entries
+                              : oldest(0, config_.entries);
+                index_.erase(tagOf(keys_[slot]));
+            }
+            index_.emplace(tagOf(key), slot);
+            return slot;
+        }
+        const size_t base = setBase(key);
+        for (size_t w = 0; w < config_.ways; ++w) {
+            if (!valid_[base + w]) {
+                ++telemetry.live;
+                return base + w;
+            }
+        }
+        ++telemetry.evictions;
+        return random ? base + nextRandom() % config_.ways
+                      : oldest(base, config_.ways);
+    }
+
+    BoundedTableConfig config_;
+    std::vector<uint64_t> keys_;
+    std::vector<uint64_t> stamps_;
+    std::vector<uint8_t> valid_;
+    std::vector<uint64_t> values_;
+    std::unordered_map<uint64_t, size_t> index_;
+    size_t sets_ = 0;
+    uint64_t tagMask_ = 0;
+    uint64_t tick_ = 0;
+    uint64_t rng_;
+};
+
+/** Drives a table and the model with one key stream, step by step. */
+class Differential
+{
+  public:
+    explicit Differential(const BoundedTableConfig &config)
+        : table_(config), model_(config)
+    {
+    }
+
+    void
+    peek(uint64_t key)
+    {
+        size_t slot = SIZE_MAX;
+        const uint64_t *entry = table_.peekSlot(key, slot);
+        const size_t want = model_.peek(key);
+        ASSERT_EQ(entry != nullptr, want != SIZE_MAX) << "key " << key;
+        if (entry != nullptr) {
+            EXPECT_EQ(slot, want) << "key " << key;
+            EXPECT_EQ(*entry, model_.value(want)) << "key " << key;
+        }
+        expectSameCounters();
+    }
+
+    /** The slot @p key hits now, as a hint for a later touch. */
+    size_t
+    hint(uint64_t key)
+    {
+        const size_t slot = table_.probeSlot(key);
+        EXPECT_EQ(slot, model_.probeSlot(key)) << "key " << key;
+        return slot;
+    }
+
+    /** touch(), or touchHinted() when given a @p hint from hint(). */
+    void
+    touch(uint64_t key, uint64_t stamp,
+          std::optional<size_t> hint = std::nullopt)
+    {
+        bool inserted = false, aliased = false;
+        uint64_t &entry = hint ? table_.touchHinted(key, *hint, inserted,
+                                                    &aliased)
+                               : table_.touch(key, inserted, &aliased);
+        bool want_inserted = false, want_aliased = false;
+        const size_t want = model_.touch(key, want_inserted, want_aliased,
+                                         hint.value_or(SIZE_MAX));
+        ASSERT_EQ(inserted, want_inserted) << "key " << key;
+        EXPECT_EQ(aliased, want_aliased) << "key " << key;
+        EXPECT_EQ(table_.probeSlot(key), want) << "key " << key;
+        EXPECT_EQ(entry, model_.value(want)) << "key " << key;
+        entry = stamp;
+        model_.value(want) = stamp;
+        expectSameCounters();
+    }
+
+    const BoundedTableTelemetry &model() const { return model_.telemetry; }
+
+  private:
+    void
+    expectSameCounters() const
+    {
+        const BoundedTableTelemetry got = table_.telemetry();
+        const BoundedTableTelemetry &want = model_.telemetry;
+        EXPECT_EQ(got.live, want.live);
+        EXPECT_EQ(got.evictions, want.evictions);
+        EXPECT_EQ(got.aliasedPeeks, want.aliasedPeeks);
+        EXPECT_EQ(got.aliasedTouches, want.aliasedTouches);
+        EXPECT_EQ(got.probes, want.probes);
+        EXPECT_EQ(got.probeDepth, want.probeDepth);
+    }
+
+    Table table_;
+    ScanModel model_;
+};
+
+const Replacement kPolicies[] = {Replacement::Lru, Replacement::Fifo,
+                                 Replacement::Random};
+
+TEST(BoundedTable, ControlByteProbeMatchesTheScan)
+{
+    for (const size_t ways : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
+                              size_t{16}, size_t{32}, size_t{0}}) {
+        for (const int tag_bits : {0, 4, 8, 16}) {
+            for (const Replacement policy : kPolicies) {
+                SCOPED_TRACE(::testing::Message()
+                             << "ways=" << ways << " tagBits=" << tag_bits
+                             << " policy=" << static_cast<int>(policy));
+                const BoundedTableConfig config{.entries = 256,
+                                                .ways = ways,
+                                                .replacement = policy,
+                                                .tagBits = tag_bits};
+                Differential run(config);
+                std::mt19937_64 rng(ways * 131 + tag_bits * 7 +
+                                    static_cast<uint64_t>(policy));
+                // Half small PC-like keys, half spread hashed ones,
+                // from a domain twice the capacity: hits, misses and
+                // evictions all occur.
+                const auto draw = [&] {
+                    const uint64_t k = rng() % 512;
+                    return k % 2 == 0 ? k : k * 0x9e3779b97f4a7c15ull;
+                };
+                for (uint64_t step = 0; step < 3000; ++step) {
+                    switch (rng() % 4) {
+                    case 0:
+                        run.peek(draw());
+                        break;
+                    case 1: {
+                        // Batched replay's pattern: a hint taken before
+                        // another touch, which may have moved the entry.
+                        const uint64_t key = draw();
+                        const size_t slot = run.hint(key);
+                        run.touch(draw(), step);
+                        run.touch(key, step, slot);
+                        break;
+                    }
+                    default:
+                        run.touch(draw(), step);
+                        break;
+                    }
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
+                // Full tags evict; where partial tags name no more
+                // entries than a set holds, keys alias instead.
+                EXPECT_GT(run.model().evictions +
+                                  run.model().aliasedTouches,
+                          0u);
+                EXPECT_GT(run.model().probeDepth[1], 0u);
+            }
+        }
+    }
+}
+
+/**
+ * Keys that share one control byte in one set: the byte compare
+ * selects every way, so only the key compare tells them apart, and
+ * the first match in way order must win. With 8-bit tags the keys
+ * also alias: several full keys per tag.
+ */
+TEST(BoundedTable, KeysSharingAControlByteResolveByTag)
+{
+    for (const size_t ways : {size_t{16}, size_t{32}}) {
+        for (const int tag_bits : {0, 8}) {
+            for (const Replacement policy : kPolicies) {
+                SCOPED_TRACE(::testing::Message()
+                             << "ways=" << ways << " tagBits=" << tag_bits
+                             << " policy=" << static_cast<int>(policy));
+                // One set, so every key lands in it.
+                const BoundedTableConfig config{.entries = ways,
+                                                .ways = ways,
+                                                .replacement = policy,
+                                                .tagBits = tag_bits};
+                const uint64_t tag_space =
+                        tag_bits == 0 ? uint64_t{1} << 20 : 256;
+                // The byte most tags share, and up to 40 of them.
+                std::vector<size_t> count(256, 0);
+                for (uint64_t t = 0; t < tag_space; ++t)
+                    ++count[Table::controlOf(t)];
+                const uint8_t shared = static_cast<uint8_t>(
+                        std::max_element(count.begin(), count.end()) -
+                        count.begin());
+                std::vector<uint64_t> tags;
+                for (uint64_t t = 0; t < tag_space && tags.size() < 40; ++t) {
+                    if (Table::controlOf(t) == shared)
+                        tags.push_back(t);
+                }
+                ASSERT_GE(tags.size(), 3u);
+                std::vector<uint64_t> keys;
+                for (const uint64_t tag : tags) {
+                    keys.push_back(tag);
+                    if (tag_bits != 0) {
+                        for (uint64_t high = 1; high < 6; ++high)
+                            keys.push_back(tag | high << tag_bits);
+                    }
+                }
+
+                Differential run(config);
+                std::mt19937_64 rng(ways + tag_bits);
+                for (uint64_t step = 0; step < 4000; ++step) {
+                    const uint64_t key = keys[rng() % keys.size()];
+                    if (rng() % 3 == 0)
+                        run.peek(key);
+                    else
+                        run.touch(key, step);
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
+                // The set filled with keys of one control byte.
+                EXPECT_EQ(run.model().live, std::min(ways, tags.size()));
+                if (tags.size() > ways)
+                    EXPECT_GT(run.model().evictions, 0u);
+            }
+        }
+    }
+}
+
+TEST(BoundedTable, ControlBytesAreNeverEmptyAndSpreadWithinASet)
+{
+    for (uint64_t tag = 0; tag < 4096; ++tag) {
+        const uint8_t byte = Table::controlOf(tag);
+        EXPECT_NE(byte & 0x80, 0) << tag;   // never the empty byte
+    }
+    // Keys of one 64-set table's set still spread over the bytes.
+    std::vector<bool> seen(256, false);
+    for (uint64_t k = 0; k < 64 * 512; k += 64)
+        seen[Table::controlOf(k)] = true;
+    size_t distinct = 0;
+    for (const bool s : seen)
+        distinct += s ? 1 : 0;
+    EXPECT_GT(distinct, 100u);
+}
+
+} // namespace
