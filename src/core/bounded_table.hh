@@ -134,7 +134,8 @@ struct BoundedTableConfig
  * span two cache lines while its control bytes sit in one; a miss
  * then reads no key at all, and its insert takes the first empty way
  * from the same group compare. 4-way sets keep a branchless compare
- * over their four ways, and other widths a scalar byte loop. Because
+ * of their four keys (one cache line) behind the live bit, and other
+ * widths a scalar byte loop. Because
  * the byte derives from the stored tag, equal tags always share it,
  * and partial-tag aliasing is exactly that of a full tag compare.
  * prefetch() issues a software prefetch of a key's set, which batched
@@ -605,23 +606,25 @@ class BoundedTable
      * the class comment). The 4-way layout (the default geometry
      * everywhere) is resolved branchlessly — the matching way is
      * data-dependent, so a short-circuiting scan pays a mispredicted
-     * branch on nearly every probe.
+     * branch on nearly every probe. Its four keys share one cache
+     * line, so it compares them all and uses the control byte only
+     * as the live bit, with no hash to compute.
      */
     int
     hitWay(size_t base, uint64_t key) const
     {
         const uint64_t tag = tagOf(key);
-        const uint8_t ctrl = controlOf(tag);
         if (config_.ways == 4) {
             unsigned mask = 0;
             for (unsigned w = 0; w < 4; ++w) {
                 mask |= static_cast<unsigned>(
-                                ctrl_[base + w] == ctrl &&
+                                ctrl_[base + w] != 0 &&
                                 tagOf(keys_[base + w]) == tag)
                         << w;
             }
             return mask != 0 ? std::countr_zero(mask) : -1;
         }
+        const uint8_t ctrl = controlOf(tag);
         if (grouped()) {
             for (size_t g = 0; g < config_.ways; g += 16) {
                 for (unsigned m = matchGroup(&ctrl_[base + g], ctrl);
