@@ -63,15 +63,18 @@ if [[ -z "${VP_CTEST_LABEL:-}" || "${VP_CTEST_LABEL}" == "perf" ]]; then
     # (the unbounded fcm's follower store must count exactly as the
     # bounded tables' FcmFollowers do). The serve_batch run checks
     # every tenant vpd served against a local ShardedBankMap replay
-    # and counts each mismatched tenant as a failed operation. Each
+    # and counts each mismatched tenant as a failed operation; the
+    # serve_event run does the same for per-event PREDICT+TRAIN, the
+    # tables' scalar peek()/touch() path. Each
     # exits nonzero on a mismatch; run.py builds into .bench_build.
     # Last, the self-test of tools/benchdiff, which compares two
     # checkouts' benchmark runs.
-    echo "==> perfbench self-test and studies/paper/serve_batch checks"
+    echo "==> perfbench self-test and studies/paper/serve checks"
     python3 -m unittest discover -s perfbench/tests
     python3 perfbench/run.py --workload studies --seed 0 --seconds 1
     python3 perfbench/run.py --workload paper --seed 0 --seconds 1
     python3 perfbench/run.py --workload serve_batch --seed 0 --seconds 1
+    python3 perfbench/run.py --workload serve_event --seed 0 --seconds 1
     python3 -m unittest discover -s tools/tests
 fi
 

@@ -60,9 +60,6 @@ emitTableCounters(const BoundedTableTelemetry &telemetry,
     sink.counter(prefix + "alias_destructive",
                  telemetry.aliasDestructive);
     sink.counter(prefix + "probes", telemetry.probes);
-    sink.counter(prefix + "hinted_touches", telemetry.hintedTouches);
-    sink.counter(prefix + "hinted_touch_hits",
-                 telemetry.hintedTouchHits);
     for (size_t d = 0; d < telemetry.probeDepth.size(); ++d) {
         sink.distribution(prefix + "probe_depth", d,
                           telemetry.probeDepth[d]);
@@ -104,9 +101,9 @@ BoundedLastValuePredictor::update(uint64_t pc, uint64_t actual)
 }
 
 void
-BoundedLastValuePredictor::trainBatch(const uint64_t *pcs,
-                                      const uint64_t *values, size_t n,
-                                      uint64_t *valid, uint64_t *correct)
+BoundedLastValuePredictor::evalBatch(const uint64_t *pcs,
+                                     const uint64_t *values, size_t n,
+                                     uint64_t *valid, uint64_t *correct)
 {
     // Pipelined prefetch: each event prefetches the set a fixed
     // lookahead distance ahead, so the table misses overlap
@@ -186,9 +183,9 @@ BoundedStridePredictor::update(uint64_t pc, uint64_t actual)
 }
 
 void
-BoundedStridePredictor::trainBatch(const uint64_t *pcs,
-                                   const uint64_t *values, size_t n,
-                                   uint64_t *valid, uint64_t *correct)
+BoundedStridePredictor::evalBatch(const uint64_t *pcs,
+                                  const uint64_t *values, size_t n,
+                                  uint64_t *valid, uint64_t *correct)
 {
     // Pipelined set prefetch; see BoundedLastValuePredictor.
     for (size_t i = 0; i < n; ++i) {
@@ -359,9 +356,9 @@ BoundedFcmPredictor::update(uint64_t pc, uint64_t actual)
 }
 
 void
-BoundedFcmPredictor::trainBatch(const uint64_t *pcs,
-                                const uint64_t *values, size_t n,
-                                uint64_t *valid, uint64_t *correct)
+BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
+                               const uint64_t *values, size_t n,
+                               uint64_t *valid, uint64_t *correct)
 {
     // The batched win is twofold. First, eliminating repeated work:
     // the scalar predict()/update() pair probes the VHT twice and
@@ -394,42 +391,13 @@ BoundedFcmPredictor::trainBatch(const uint64_t *pcs,
     constexpr size_t kStage = 8;
     Staged stage[kStage];
 
-    // A VhtEntry set spans several cache lines and only one way will
-    // be read; blanket-prefetching the whole span wastes fill-buffer
-    // slots. Instead the probe stage runs kStage events ahead of the
-    // touch: by then the key/valid lines (prefetched at
-    // kPrefetchAhead) are resident, so a pure probe finds the hit way
-    // cheaply and prefetches exactly its payload lines. The slot hint
-    // it records may go stale — an intervening touch can evict or
-    // rebind the way — so touchHinted() re-validates the tag and
-    // falls back to a full probe, keeping the outcome byte-identical
-    // to an unhinted touch.
-    struct Probe
-    {
-        size_t event;       ///< event index the hint belongs to
-        size_t slot;        ///< hit slot, or SIZE_MAX on miss
-    };
-    Probe probe[kStage];
-    for (auto &p : probe)
-        p.event = SIZE_MAX;
-
-    const auto probeStage = [&](size_t i) {
-        Probe &pr = probe[i % kStage];
-        pr.event = i;
-        pr.slot = vht_.probeSlot(pcs[i]);
-        if (pr.slot != SIZE_MAX)
-            vht_.prefetchEntryAt(pr.slot);
-    };
-
+    // The VHT is indexed by PC, and its working set stays
+    // cache-resident, so its stage issues no prefetch of its own.
     const auto vhtStage = [&](size_t i) {
-        if (i + kPrefetchAhead < n)
-            vht_.prefetchKeys(pcs[i + kPrefetchAhead]);
         Staged &st = stage[i % kStage];
         st.index = i;
         st.inserted = false;
-        const Probe &pr = probe[i % kStage];
-        VhtEntry &entry = vht_.touchHinted(
-                pcs[i], pr.event == i ? pr.slot : SIZE_MAX, st.inserted);
+        VhtEntry &entry = vht_.touch(pcs[i], st.inserted);
         st.pre = entry;
         const int max_order = std::min<int>(config_.fcm.order, entry.len);
         if (max_order >= min_order) {
@@ -544,15 +512,10 @@ BoundedFcmPredictor::trainBatch(const uint64_t *pcs,
         }
     };
 
-    // probeStage(i + kStage) must run after vhtStage(i): both land on
-    // the same ring cell, and the touch consumes the hint before the
-    // next event's probe overwrites it.
     for (size_t i = 0; i < n; ++i) {
         if (i >= kStage)
             vptStage(stage[i % kStage]);
         vhtStage(i);
-        if (i + kStage < n)
-            probeStage(i + kStage);
     }
     for (size_t i = n > kStage ? n - kStage : 0; i < n; ++i)
         vptStage(stage[i % kStage]);

@@ -61,22 +61,16 @@ class BoundedLastValuePredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override { return table_.size(); }
 
+    /**
+     * Batch loop: one table touch per event instead of a peek plus a
+     * touch. Identical observable state — peek() never moves recency,
+     * and the prediction is read from the entry before it is trained —
+     * though the elided peeks mean the aliasedPeeks() diagnostic no
+     * longer accumulates.
+     */
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
-                   uint64_t *correct) override
-    {
-        trainBatch(pcs, values, n, valid, correct);
-    }
-
-    /**
-     * Devirtualised batch loop: one table touch per event instead of
-     * a peek plus a touch. Identical observable state — peek() never
-     * moves recency, and the prediction is read from the entry before
-     * it is trained — though the elided peeks mean the aliasedPeeks()
-     * diagnostic no longer accumulates.
-     */
-    void trainBatch(const uint64_t *pcs, const uint64_t *values,
-                    size_t n, uint64_t *valid, uint64_t *correct);
+                   uint64_t *correct) override;
 
     uint64_t evictions() const { return table_.evictions(); }
 
@@ -104,17 +98,11 @@ class BoundedStridePredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override { return table_.size(); }
 
+    /** Batch loop: one table touch per event (see
+     *  BoundedLastValuePredictor::evalBatch). */
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
-                   uint64_t *correct) override
-    {
-        trainBatch(pcs, values, n, valid, correct);
-    }
-
-    /** Devirtualised batch loop: one table touch per event (see
-     *  BoundedLastValuePredictor::trainBatch). */
-    void trainBatch(const uint64_t *pcs, const uint64_t *values,
-                    size_t n, uint64_t *valid, uint64_t *correct);
+                   uint64_t *correct) override;
 
     uint64_t evictions() const { return table_.evictions(); }
 
@@ -183,23 +171,17 @@ class BoundedFcmPredictor : public ValuePredictor
         return vht_.size() + vpt_.size();
     }
 
+    /**
+     * Batch loop: one VHT touch and one VPT context scan per event
+     * (the scalar pair pays a VHT peek + touch and two scans), and in
+     * the steady-state case the matched VPT slot is re-touched in
+     * place rather than probed a second time for training. Identical
+     * observable state; only the aliasedPeeks() diagnostics diverge
+     * because duplicate peeks are elided.
+     */
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
-                   uint64_t *correct) override
-    {
-        trainBatch(pcs, values, n, valid, correct);
-    }
-
-    /**
-     * Devirtualised batch loop: one VHT touch and one VPT context
-     * scan per event (the scalar pair pays a VHT peek + touch and two
-     * scans), and in the steady-state case the matched VPT slot is
-     * re-touched in place rather than probed a second time for
-     * training. Identical observable state; only the aliasedPeeks()
-     * diagnostics diverge because duplicate peeks are elided.
-     */
-    void trainBatch(const uint64_t *pcs, const uint64_t *values,
-                    size_t n, uint64_t *valid, uint64_t *correct);
+                   uint64_t *correct) override;
 
     uint64_t vhtEvictions() const { return vht_.evictions(); }
     uint64_t vptEvictions() const { return vpt_.evictions(); }

@@ -81,8 +81,6 @@ struct BoundedTableTelemetry
     uint64_t aliasDestructive = 0;
     uint64_t probes = 0;                ///< total recorded probes
     std::array<uint64_t, maxDepth + 1> probeDepth{};
-    uint64_t hintedTouches = 0;         ///< touchHinted() calls
-    uint64_t hintedTouchHits = 0;       ///< ... whose hint was trusted
 };
 
 /** Geometry and policy of one bounded table. */
@@ -279,8 +277,6 @@ class BoundedTable
         t.aliasDestructive = aliasDestructive_;
         t.probes = probes_;
         t.probeDepth = probeDepth_;
-        t.hintedTouches = hintedTouches_;
-        t.hintedTouchHits = hintedTouchHits_;
         return t;
     }
 
@@ -304,24 +300,8 @@ class BoundedTable
     const Entry *
     peek(uint64_t key) const
     {
-        if (fullyAssociative()) {
-            noteProbe(1);
-            const auto it = index_.find(tagOf(key));
-            if (it == index_.end())
-                return nullptr;
-            if (keys_[it->second] != key)
-                ++aliasedPeeks_;
-            return &entries_[it->second];
-        }
-        const size_t base = setBase(key);
-        const int w = hitWay(base, key);
-        noteProbe(probedWays(w));
-        if (w < 0)
-            return nullptr;
-        const size_t s = base + static_cast<size_t>(w);
-        if (keys_[s] != key)
-            ++aliasedPeeks_;
-        return &entries_[s];
+        size_t slot;
+        return peekSlot(key, slot);
     }
 
     /**
@@ -403,10 +383,7 @@ class BoundedTable
         __builtin_prefetch(ctrl_.data() + base);
         // The payload span of a whole set can cross several cache
         // lines (ways * sizeof(Entry) bytes) and which way will hit is
-        // unknowable before the probe, so fetch them all. Callers with
-        // large entries avoid this blanket fetch by pairing
-        // prefetchKeys() with a probeSlot()/prefetchEntryAt() stage
-        // that fetches exactly the hit way's lines.
+        // unknowable before the probe, so fetch them all.
         const auto *first =
                 reinterpret_cast<const char *>(entries_.data() + base);
         const size_t span = config_.ways * sizeof(Entry);
@@ -415,76 +392,6 @@ class BoundedTable
 #else
         (void)key;
 #endif
-    }
-
-    /** prefetch() restricted to the probe metadata (key and control
-     *  lines) — pair with probeSlot() + prefetchEntryAt() to fetch
-     *  the one payload way that will actually be read. */
-    void
-    prefetchKeys(uint64_t key) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        if (fullyAssociative())
-            return;
-        const size_t base = setBase(key);
-        __builtin_prefetch(keys_.data() + base);
-        __builtin_prefetch(ctrl_.data() + base);
-#else
-        (void)key;
-#endif
-    }
-
-    /**
-     * Pure probe: the slot @p key currently hits, or SIZE_MAX. No
-     * recency motion, no alias accounting — a prefetch-planning hint
-     * whose answer may be stale by use time, so consumers must
-     * re-validate (touchHinted() does).
-     */
-    size_t
-    probeSlot(uint64_t key) const
-    {
-        if (fullyAssociative()) {
-            const auto it = index_.find(tagOf(key));
-            return it == index_.end() ? SIZE_MAX : it->second;
-        }
-        const size_t base = setBase(key);
-        const int w = hitWay(base, key);
-        return w < 0 ? SIZE_MAX : base + static_cast<size_t>(w);
-    }
-
-    /** Software-prefetch exactly slot @p slot's payload lines. */
-    void
-    prefetchEntryAt(size_t slot) const
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        const auto *first =
-                reinterpret_cast<const char *>(entries_.data() + slot);
-        for (size_t off = 0; off < sizeof(Entry); off += 64)
-            __builtin_prefetch(first + off);
-#else
-        (void)slot;
-#endif
-    }
-
-    /**
-     * touch() with a slot hint from an earlier probeSlot(). The hint
-     * is trusted only if the slot still holds a live, tag-matching
-     * entry (intervening touches may have evicted or rebound it);
-     * otherwise this falls back to a full touch(). Either way the
-     * outcome is exactly what touch(key) would have produced.
-     */
-    Entry &
-    touchHinted(uint64_t key, size_t slot, bool &inserted,
-                bool *aliased = nullptr)
-    {
-        ++hintedTouches_;
-        if (slot != SIZE_MAX && !fullyAssociative() && ctrl_[slot] != 0 &&
-            tagOf(keys_[slot]) == tagOf(key)) {
-            ++hintedTouchHits_;
-            inserted = false;
-            return touchAt(slot, key, aliased);
-        }
-        return touch(key, inserted, aliased);
     }
 
     /**
@@ -535,8 +442,6 @@ class BoundedTable
         aliasDestructive_ = 0;
         probes_ = 0;
         probeDepth_.fill(0);
-        hintedTouches_ = 0;
-        hintedTouchHits_ = 0;
         tick_ = 0;
         rng_ = config_.seed | 1;
     }
@@ -793,8 +698,6 @@ class BoundedTable
     mutable uint64_t probes_ = 0;
     mutable std::array<uint64_t, BoundedTableTelemetry::maxDepth + 1>
             probeDepth_{};
-    uint64_t hintedTouches_ = 0;
-    uint64_t hintedTouchHits_ = 0;
     uint64_t tick_ = 0;
     uint64_t rng_;
 };

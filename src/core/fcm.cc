@@ -296,8 +296,8 @@ FcmPredictor::update(uint64_t pc, uint64_t actual)
 }
 
 void
-FcmPredictor::trainBatch(const uint64_t *pcs, const uint64_t *values,
-                         size_t n, uint64_t *valid, uint64_t *correct)
+FcmPredictor::evalBatch(const uint64_t *pcs, const uint64_t *values,
+                        size_t n, uint64_t *valid, uint64_t *correct)
 {
     for (size_t i = 0; i < n; ++i) {
         auto [pit, inserted] = table_.try_emplace(pcs[i]);

@@ -363,22 +363,16 @@ class FcmPredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override;
 
-    void evalBatch(const uint64_t *pcs, const uint64_t *values,
-                   size_t n, uint64_t *valid,
-                   uint64_t *correct) override
-    {
-        trainBatch(pcs, values, n, valid, correct);
-    }
-
     /**
-     * Devirtualised batch loop. The separate predict()/update() pair
-     * scans the context tables twice per event (longest match for the
+     * Batch loop. The separate predict()/update() pair scans the
+     * context tables twice per event (longest match for the
      * prediction, longest match again for the lazy-exclusion training
      * floor); here one scan serves both, which is legitimate because
      * nothing mutates the PC's state between the two scalar calls.
      */
-    void trainBatch(const uint64_t *pcs, const uint64_t *values,
-                    size_t n, uint64_t *valid, uint64_t *correct);
+    void evalBatch(const uint64_t *pcs, const uint64_t *values,
+                   size_t n, uint64_t *valid,
+                   uint64_t *correct) override;
 
   private:
     /**

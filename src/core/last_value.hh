@@ -96,20 +96,14 @@ class LastValuePredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override { return table_.size(); }
 
+    /**
+     * Batch loop: one hash probe per event (the separate
+     * predict()/update() pair pays two), same predictions and table
+     * state.
+     */
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
-                   uint64_t *correct) override
-    {
-        trainBatch(pcs, values, n, valid, correct);
-    }
-
-    /**
-     * Devirtualised batch loop: one hash probe per event (the
-     * separate predict()/update() pair pays two), same predictions
-     * and table state.
-     */
-    void trainBatch(const uint64_t *pcs, const uint64_t *values,
-                    size_t n, uint64_t *valid, uint64_t *correct);
+                   uint64_t *correct) override;
 
   private:
     LvConfig config_;

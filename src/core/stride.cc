@@ -89,8 +89,8 @@ StridePredictor::update(uint64_t pc, uint64_t actual)
 }
 
 void
-StridePredictor::trainBatch(const uint64_t *pcs, const uint64_t *values,
-                            size_t n, uint64_t *valid, uint64_t *correct)
+StridePredictor::evalBatch(const uint64_t *pcs, const uint64_t *values,
+                           size_t n, uint64_t *valid, uint64_t *correct)
 {
     for (size_t i = 0; i < n; ++i) {
         auto [it, inserted] = table_.try_emplace(pcs[i]);

@@ -104,16 +104,10 @@ class StridePredictor : public ValuePredictor
     void reset() override;
     size_t tableEntries() const override { return table_.size(); }
 
+    /** Batch loop: one hash probe per event. */
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,
-                   uint64_t *correct) override
-    {
-        trainBatch(pcs, values, n, valid, correct);
-    }
-
-    /** Devirtualised batch loop: one hash probe per event. */
-    void trainBatch(const uint64_t *pcs, const uint64_t *values,
-                    size_t n, uint64_t *valid, uint64_t *correct);
+                   uint64_t *correct) override;
 
   private:
     StrideConfig config_;

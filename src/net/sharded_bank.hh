@@ -119,8 +119,8 @@ class ShardedBankMap
 
     /**
      * Batched protocol over a span of @p tenant's events, routed
-     * through the bank's non-virtual trainBatch/evalBatch SoA paths
-     * (sim::PredictorBank::onBatch — one virtual call per batch).
+     * through sim::PredictorBank::onBatch: one virtual evalBatch call
+     * per bank node per batch, each running its family's batch loop.
      * Events are split into contiguous same-pc-group runs; with the
      * default pcGroupBits the whole span is one run.
      */

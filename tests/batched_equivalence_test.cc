@@ -3,7 +3,7 @@
  * Batched-vs-scalar replay equivalence over every workload trace.
  *
  * The batched hot path (PredictorBank::onBatch, the per-family
- * trainBatch loops) promises *bit-identical* observable behaviour to
+ * evalBatch loops) promises *bit-identical* observable behaviour to
  * the per-event predict-then-update protocol: the same
  * PredictionStats, the same overlap/improvement/value-profile tracker
  * state, the same table occupancy, evictions and touch-side aliasing

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -57,28 +56,12 @@ class ScanModel
         return slot;
     }
 
-    /** The slot @p key hits, or SIZE_MAX; not counted. */
+    /** A touch; returns the slot @p key now occupies. */
     size_t
-    probeSlot(uint64_t key)
-    {
-        const BoundedTableTelemetry before = telemetry;
-        const size_t slot = find(key);
-        telemetry = before;
-        return slot;
-    }
-
-    /** A touch; one with a @p hint slot that still holds a live entry
-     *  of @p key's tag skips the probe, as BoundedTable::touchHinted
-     *  does. */
-    size_t
-    touch(uint64_t key, bool &inserted, bool &aliased,
-          size_t hint = SIZE_MAX)
+    touch(uint64_t key, bool &inserted, bool &aliased)
     {
         ++tick_;
-        const bool trusted = hint != SIZE_MAX && config_.ways != 0 &&
-                             valid_[hint] &&
-                             tagOf(keys_[hint]) == tagOf(key);
-        size_t slot = trusted ? hint : find(key);
+        size_t slot = find(key);
         inserted = slot == SIZE_MAX;
         aliased = false;
         if (inserted)
@@ -229,30 +212,21 @@ class Differential
         expectSameCounters();
     }
 
-    /** The slot @p key hits now, as a hint for a later touch. */
-    size_t
-    hint(uint64_t key)
-    {
-        const size_t slot = table_.probeSlot(key);
-        EXPECT_EQ(slot, model_.probeSlot(key)) << "key " << key;
-        return slot;
-    }
-
-    /** touch(), or touchHinted() when given a @p hint from hint(). */
+    /** A touch, then a peekSlot() of the same key on both sides (a
+     *  counted probe each) to check the slot it landed in. */
     void
-    touch(uint64_t key, uint64_t stamp,
-          std::optional<size_t> hint = std::nullopt)
+    touch(uint64_t key, uint64_t stamp)
     {
         bool inserted = false, aliased = false;
-        uint64_t &entry = hint ? table_.touchHinted(key, *hint, inserted,
-                                                    &aliased)
-                               : table_.touch(key, inserted, &aliased);
+        uint64_t &entry = table_.touch(key, inserted, &aliased);
         bool want_inserted = false, want_aliased = false;
-        const size_t want = model_.touch(key, want_inserted, want_aliased,
-                                         hint.value_or(SIZE_MAX));
+        const size_t want = model_.touch(key, want_inserted, want_aliased);
         ASSERT_EQ(inserted, want_inserted) << "key " << key;
         EXPECT_EQ(aliased, want_aliased) << "key " << key;
-        EXPECT_EQ(table_.probeSlot(key), want) << "key " << key;
+        size_t slot = SIZE_MAX;
+        EXPECT_NE(table_.peekSlot(key, slot), nullptr) << "key " << key;
+        EXPECT_EQ(slot, want) << "key " << key;
+        EXPECT_EQ(model_.peek(key), want) << "key " << key;
         EXPECT_EQ(entry, model_.value(want)) << "key " << key;
         entry = stamp;
         model_.value(want) = stamp;
@@ -306,23 +280,10 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
                     return k % 2 == 0 ? k : k * 0x9e3779b97f4a7c15ull;
                 };
                 for (uint64_t step = 0; step < 3000; ++step) {
-                    switch (rng() % 4) {
-                    case 0:
+                    if (rng() % 4 == 0)
                         run.peek(draw());
-                        break;
-                    case 1: {
-                        // Batched replay's pattern: a hint taken before
-                        // another touch, which may have moved the entry.
-                        const uint64_t key = draw();
-                        const size_t slot = run.hint(key);
+                    else
                         run.touch(draw(), step);
-                        run.touch(key, step, slot);
-                        break;
-                    }
-                    default:
-                        run.touch(draw(), step);
-                        break;
-                    }
                     if (::testing::Test::HasFatalFailure())
                         return;
                 }

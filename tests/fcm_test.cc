@@ -534,9 +534,9 @@ TEST(IndexedFollowers, PredictorMatchesTheScanReference)
                 std::vector<uint64_t> batch_valid(valid.size());
                 std::vector<uint64_t> batch_correct(correct.size());
                 for (size_t at = 0; at < kEvents; at += 512) {
-                    batched.trainBatch(pcs.data() + at, values.data() + at,
-                                       512, batch_valid.data() + at / 64,
-                                       batch_correct.data() + at / 64);
+                    batched.evalBatch(pcs.data() + at, values.data() + at,
+                                      512, batch_valid.data() + at / 64,
+                                      batch_correct.data() + at / 64);
                 }
                 EXPECT_EQ(batch_valid, valid) << label;
                 EXPECT_EQ(batch_correct, correct) << label;

@@ -79,10 +79,10 @@ class MapSink : public core::CounterSink
 
     /**
      * Forget the bounded tables' probe accounting — probes, probe
-     * depths, hinted touches, aliased peeks. They count *how* a table
-     * was probed, which batch geometry legitimately changes (the
-     * batch path elides and hints probes); everything else describes
-     * table state and must not move.
+     * depths, aliased peeks. They count *how* a table was probed,
+     * which batch geometry legitimately changes (the batch path elides
+     * probes); everything else describes table state and must not
+     * move.
      */
     void
     dropProbeAccounting()
@@ -90,9 +90,7 @@ class MapSink : public core::CounterSink
         std::erase_if(counters, [](const auto &entry) {
             const std::string &name = entry.first;
             return name.ends_with(".probes") ||
-                   name.ends_with(".aliased_peeks") ||
-                   name.ends_with(".hinted_touches") ||
-                   name.ends_with(".hinted_touch_hits");
+                   name.ends_with(".aliased_peeks");
         });
         std::erase_if(distributions, [](const auto &entry) {
             return entry.first.first.ends_with(".probe_depth");
