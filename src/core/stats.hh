@@ -7,6 +7,8 @@
 #define VP_CORE_STATS_HH
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "isa/opcode.hh"
@@ -48,6 +50,34 @@ class PredictionStats
             ++correct_;
             ++catCorrect_[static_cast<int>(cat)];
         }
+    }
+
+    /**
+     * record() for the @p events events of category @p cat in one
+     * batch, at once: bit i of @p mask marks event i as one of them,
+     * and bit i of @p valid / @p correct says whether that event was
+     * predicted / predicted correctly. Each row is @p words 64-bit
+     * words (core::bits), and @p events is the popcount of @p mask.
+     */
+    void
+    recordBatch(isa::Category cat, uint64_t events, const uint64_t *mask,
+                const uint64_t *valid, const uint64_t *correct,
+                size_t words)
+    {
+        uint64_t predicted = 0;
+        uint64_t right = 0;
+        for (size_t w = 0; w < words; ++w) {
+            predicted += static_cast<uint64_t>(
+                    std::popcount(valid[w] & mask[w]));
+            right += static_cast<uint64_t>(
+                    std::popcount(correct[w] & mask[w]));
+        }
+        total_ += events;
+        catTotal_[static_cast<int>(cat)] += events;
+        predicted_ += predicted;
+        catPredicted_[static_cast<int>(cat)] += predicted;
+        correct_ += right;
+        catCorrect_[static_cast<int>(cat)] += right;
     }
 
     uint64_t total() const { return total_; }

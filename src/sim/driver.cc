@@ -75,12 +75,19 @@ PredictorBank::onBatch(vm::TraceSpan batch)
         return;
 
     // Deinterleave the events into parallel pc/value arrays so the
-    // core layer consumes plain spans without depending on vm types.
+    // core layer consumes plain spans without depending on vm types,
+    // and into one event mask per category, shared by every member's
+    // statistics below.
     batchPcs_.resize(n);
     batchValues_.resize(n);
+    batchCats_.reset(isa::numCategories, n);
+    batchCatEvents_.fill(0);
     for (size_t i = 0; i < n; ++i) {
         batchPcs_[i] = batch[i].pc;
         batchValues_[i] = batch[i].value;
+        const auto cat = static_cast<size_t>(batch[i].cat);
+        core::bits::set(batchCats_.row(cat), i);
+        ++batchCatEvents_[cat];
     }
 
     batchValid_.reset(nodes_.size(), n);
@@ -112,13 +119,17 @@ PredictorBank::onBatch(vm::TraceSpan batch)
     // Statistics and trackers are pure accumulators over the outcome
     // bits, so feeding them member-major here produces exactly the
     // state an event-major loop builds.
+    const size_t words = core::bits::words(n);
     for (size_t m = 0; m < members_.size(); ++m) {
-        auto &member = members_[m];
+        auto &stats = members_[m].stats;
         const uint64_t *valid = batchValid_.row(memberNode_[m]);
         const uint64_t *correct = batchCorrect_.row(memberNode_[m]);
-        for (size_t i = 0; i < n; ++i) {
-            member.stats.record(batch[i].cat, core::bits::test(valid, i),
-                                core::bits::test(correct, i));
+        for (size_t c = 0; c < batchCatEvents_.size(); ++c) {
+            if (batchCatEvents_[c] != 0) {
+                stats.recordBatch(static_cast<isa::Category>(c),
+                                  batchCatEvents_[c], batchCats_.row(c),
+                                  valid, correct, words);
+            }
         }
     }
 

@@ -187,6 +187,10 @@ class PredictorBank : public vm::TraceSink
 
     /** One valid and one correct row per node, one bit per event. */
     OutcomeBits batchValid_, batchCorrect_;
+    /** One row per category marking the batch's events of it, and
+     *  the number of events in each row. */
+    OutcomeBits batchCats_;
+    std::array<uint64_t, isa::numCategories> batchCatEvents_{};
     std::vector<uint64_t> batchPcs_, batchValues_;
     std::vector<core::OutcomeRows> childRows_;
 };

@@ -1,12 +1,14 @@
 /**
  * @file
- * Resident-memory guard for bank construction: building bounded
- * predictors over 1M-entry tables must not write the tables' pages.
- * The arrays come zero-filled from HugePageAllocator and their entry
+ * Resident-memory guards for bounded tables. Building bounded
+ * predictors over 1M-entry tables must not write the tables' pages:
+ * the arrays come zero-filled from HugePageAllocator and their entry
  * types skip value-initialisation (core/hugepage.hh), so a freshly
  * built bank is resident only in its bookkeeping. Writing every page,
  * as a value-initialising resize() does, makes these three tables
- * about 290 MB resident.
+ * about 290 MB resident. And a sparsely filled table must make
+ * resident only the payload pages its entries use, which the
+ * way-major payload layout of core::BoundedTable provides.
  *
  * Linux only: the guard reads VmRSS from /proc/self/status, and on
  * other platforms it is compiled out.
@@ -16,9 +18,12 @@
 
 #if defined(__linux__)
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/suite.hh"
 #include "sim/driver.hh"
@@ -53,6 +58,63 @@ TEST(BankRss, BuildingMegaEntryTablesWritesNoTablePages)
                          "fcm3@1048576/1048576x16"});
     const double grown = residentMb() - before;
     EXPECT_LT(grown, 32.0) << "bank build made " << grown
+                           << " MB resident";
+}
+
+/** Keeps the gauges a bank reports. */
+class GaugeSink : public core::CounterSink
+{
+  public:
+    void counter(const std::string &, uint64_t) override {}
+
+    void
+    gauge(const std::string &name, uint64_t value) override
+    {
+        gauges[name] = std::max(gauges[name], value);
+    }
+
+    void distribution(const std::string &, uint64_t, uint64_t) override {}
+
+    std::map<std::string, uint64_t> gauges;
+};
+
+/**
+ * ~33k distinct contexts in a VPT of 786,432 slots (49,152 sets of
+ * 16 ways, about 4% full), the sparse occupancy of the studies'
+ * largest table. Its 64-byte payloads span 48 MB. Way-major, the
+ * sets' low ways fill the first few 3 MB way-planes, and with the
+ * 12.75 MB of set-major keys, stamps and control bytes the replay
+ * makes 22 MB resident on 4 KiB pages and 39 MB where transparent
+ * huge pages are granted (a way-plane that holds even one entry then
+ * costs its 2 MiB pages). With each set's 16 payloads side by side, a
+ * live slot sits on nearly every payload page: 58 MB and 67 MB.
+ */
+TEST(BankRss, SparseTableMakesOnlyItsUsedWaysResident)
+{
+    sim::PredictorBank bank;
+    exp::addSpecs(bank, {"fcm3@262144/786432x16"});
+
+    // Pseudo-random values over 64 PCs: almost every event is a new
+    // order-1..3 context, so each inserts three VPT entries.
+    constexpr size_t kEvents = 11000;
+    std::vector<vm::TraceEvent> events(kEvents);
+    uint64_t state = 1;
+    for (size_t i = 0; i < kEvents; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        events[i] = {0x1000 + 4 * (i % 64), isa::Opcode{},
+                     isa::Category::AddSub, state >> 16};
+    }
+
+    const double before = residentMb();
+    bank.onBatch(vm::TraceSpan(events));
+    const double grown = residentMb() - before;
+
+    GaugeSink sink;
+    bank.collectCounters(sink);
+    const uint64_t live = sink.gauges["fcm.vpt.occupancy"];
+    EXPECT_GT(live, 30000u);
+    EXPECT_LT(live, 40000u);
+    EXPECT_LT(grown, 48.0) << live << " VPT entries made " << grown
                            << " MB resident";
 }
 

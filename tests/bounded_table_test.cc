@@ -10,20 +10,29 @@
  * the table keeps (live entries, evictions, alias counts, probes and
  * the probe-depth histogram). The streams cover every probe shape —
  * 1, 2, 4 and 8 ways (scalar or 4-way branchless), 16 and 32 ways
- * (groups of 16 control bytes) and the fully associative table —
- * under full and partial tags and every replacement policy, plus sets
- * whose live keys all share one control byte.
+ * (groups of 16 control bytes), 3 and 12 ways and the fully
+ * associative table — under full and partial tags and every
+ * replacement policy, plus sets whose live keys all share one control
+ * byte.
+ *
+ * A second test fills tables of heap-spilling FcmFollowers payloads
+ * under insert and evict churn, on power-of-two and other way and set
+ * counts, so every slot -> payload mapping (mask and shift, division,
+ * identity) and the live-only teardown run; under -DVP_SANITIZE=ON a
+ * leaked or doubly freed follower list fails it.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <unordered_map>
 #include <vector>
 
 #include "core/bounded_table.hh"
+#include "core/fcm.hh"
 
 namespace {
 
@@ -258,17 +267,21 @@ const Replacement kPolicies[] = {Replacement::Lru, Replacement::Fifo,
 
 TEST(BoundedTable, ControlByteProbeMatchesTheScan)
 {
-    for (const size_t ways : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
-                              size_t{16}, size_t{32}, size_t{0}}) {
+    for (const size_t ways : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                              size_t{8}, size_t{12}, size_t{16},
+                              size_t{32}, size_t{0}}) {
         for (const int tag_bits : {0, 4, 8, 16}) {
             for (const Replacement policy : kPolicies) {
                 SCOPED_TRACE(::testing::Message()
                              << "ways=" << ways << " tagBits=" << tag_bits
                              << " policy=" << static_cast<int>(policy));
-                const BoundedTableConfig config{.entries = 256,
-                                                .ways = ways,
-                                                .replacement = policy,
-                                                .tagBits = tag_bits};
+                // 256 entries, or 255 and 252 (85 and 21 sets) for
+                // the way counts that do not divide it.
+                const BoundedTableConfig config{
+                        .entries = ways == 0 ? 256 : 256 / ways * ways,
+                        .ways = ways,
+                        .replacement = policy,
+                        .tagBits = tag_bits};
                 Differential run(config);
                 std::mt19937_64 rng(ways * 131 + tag_bits * 7 +
                                     static_cast<uint64_t>(policy));
@@ -357,6 +370,89 @@ TEST(BoundedTable, KeysSharingAControlByteResolveByTag)
                 if (tags.size() > ways)
                     EXPECT_GT(run.model().evictions, 0u);
             }
+        }
+    }
+}
+
+/** A payload's follower values and counts, in value order. */
+std::map<uint64_t, uint32_t>
+cellsOf(const FcmFollowers &followers)
+{
+    std::map<uint64_t, uint32_t> cells;
+    for (const auto &cell : followers.cells)
+        cells[cell.value] = cell.count;
+    return cells;
+}
+
+/**
+ * Every live key's payload reads back as last written, across
+ * inserts, evictions and a clear(). Each key collects up to five
+ * distinct followers, so most payloads spill their cells to the heap
+ * (FcmFollowers::CellList keeps two inline), and the table is torn
+ * down with such payloads live.
+ */
+TEST(BoundedTable, PayloadsReadBackUnderChurn)
+{
+    struct Geometry
+    {
+        size_t entries;
+        size_t ways;
+    };
+    // Mask-and-shift (4, 16 ways), division (3, 12 ways) and identity
+    // (fully associative) mappings, with power-of-two and other set
+    // counts.
+    const Geometry geometries[] = {{64, 4},  {40, 4},  {64, 16}, {48, 16},
+                                   {96, 3},  {45, 3},  {96, 12}, {60, 12},
+                                   {50, 0}};
+    for (const Geometry &g : geometries) {
+        for (const Replacement policy : kPolicies) {
+            SCOPED_TRACE(::testing::Message()
+                         << "entries=" << g.entries << " ways=" << g.ways
+                         << " policy=" << static_cast<int>(policy));
+            BoundedTable<FcmFollowers> table({.entries = g.entries,
+                                              .ways = g.ways,
+                                              .replacement = policy});
+            std::map<uint64_t, std::map<uint64_t, uint32_t>> model;
+            std::mt19937_64 rng(g.entries * 17 + g.ways);
+            uint64_t evicted = 0;
+            for (uint64_t step = 0; step < 3000; ++step) {
+                if (step == 1500) {
+                    table.clear();
+                    model.clear();
+                }
+                // Keys from a domain three times the capacity, half
+                // of them spread by a multiplicative hash.
+                const uint64_t k = rng() % (3 * g.entries);
+                const uint64_t key =
+                        k % 2 == 0 ? k : k * 0x9e3779b97f4a7c15ull;
+                bool inserted = false;
+                FcmFollowers &entry = table.touch(key, inserted);
+                if (inserted)
+                    model[key].clear();
+                ASSERT_EQ(cellsOf(entry), model[key]) << "key " << key;
+                const uint64_t value = rng() % 5;
+                entry.bump(value, step, 0);
+                ++model[key][value];
+
+                // Sweep: a key the table lost was evicted; every
+                // other key must still read back as written.
+                if (step % 32 == 0) {
+                    for (auto it = model.begin(); it != model.end();) {
+                        const FcmFollowers *live = table.peek(it->first);
+                        if (live == nullptr) {
+                            it = model.erase(it);
+                            ++evicted;
+                            continue;
+                        }
+                        ASSERT_EQ(cellsOf(*live), it->second)
+                                << "key " << it->first;
+                        ++it;
+                    }
+                    EXPECT_EQ(model.size(), table.size());
+                }
+            }
+            EXPECT_GT(evicted, 0u);
+            EXPECT_GT(table.evictions(), 0u);
         }
     }
 }

@@ -18,8 +18,8 @@ class Predictor
 {
   public:
     void
-    trainBatch(const uint64_t *pcs, const uint64_t *values, size_t n,
-               uint64_t *valid, uint64_t *correct)
+    evalBatch(const uint64_t *pcs, const uint64_t *values, size_t n,
+              uint64_t *valid, uint64_t *correct)
     {
         (void)valid;
         (void)correct;

@@ -2,7 +2,7 @@
 // pointer inside a hot-loop body. `tools/vplint` on this file must
 // exit nonzero with [hotpath-virtual] violations — the batched
 // replay contract says hot bodies dispatch at batch granularity
-// (->evalBatch / ->trainBatch), never per event.
+// (->evalBatch), never per event.
 
 #include <cstdint>
 #include <cstddef>
