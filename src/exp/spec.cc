@@ -495,10 +495,10 @@ specGrammarHelp()
 "  confidence := \":c\" W \"t\" T [\"r\"|\"d\"]\n"
 "\n"
 "Budgets make a spec's tables finite (set-associative, E/V/P entry\n"
-"counts, W ways, default 4, \"fa\" = fully associative; victim policy\n"
-"LRU by default, \"r\" = deterministic-random, \"f\" = FIFO). \"%T\"\n"
-"stores only the low T bits of each key as the tag, so distinct keys\n"
-"may alias (the aliasing experiment's knob); omitted = full 64-bit\n"
+"counts, W <= 255 ways, default 4, \"fa\" = fully associative; victim\n"
+"policy LRU by default, \"r\" = deterministic-random, \"f\" = FIFO).\n"
+"\"%T\" stores only the low T bits of each key as the tag, so distinct\n"
+"keys may alias (the aliasing experiment's knob); omitted = full 64-bit\n"
 "keys. Spec-built bounded fcm keeps at most 4 follower values per VPT\n"
 "entry. A hybrid composes two simple component specs; \";ch@...\"\n"
 "bounds the chooser table too, so chooser + components can share one\n"

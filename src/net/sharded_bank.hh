@@ -10,7 +10,7 @@
  * not with a global lock.
  *
  * Thread-safety contract (the BoundedTable audit): everything inside
- * a bank — BoundedTable probe/touch paths, recency stamps, the
+ * a bank — BoundedTable probe/touch paths, recency ranks, the
  * mutable aliasedPeeks_/probe-depth telemetry counters, FCM history
  * slides, confidence counters — is deliberately unsynchronised and
  * mutates on *every* touch, including const-looking peeks. A bank

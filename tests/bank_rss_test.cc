@@ -8,7 +8,9 @@
  * as a value-initialising resize() does, makes these three tables
  * about 290 MB resident. And a sparsely filled table must make
  * resident only the payload pages its entries use, which the
- * way-major payload layout of core::BoundedTable provides.
+ * way-major payload layout of core::BoundedTable provides. Recency
+ * costs such a table at most a byte per slot: an LRU table keeps a
+ * rank byte where a 64-bit stamp once stood.
  *
  * Linux only: the guard reads VmRSS from /proc/self/status, and on
  * other platforms it is compiled out.
@@ -79,23 +81,12 @@ class GaugeSink : public core::CounterSink
 };
 
 /**
- * ~33k distinct contexts in a VPT of 786,432 slots (49,152 sets of
- * 16 ways, about 4% full), the sparse occupancy of the studies'
- * largest table. Its 64-byte payloads span 48 MB. Way-major, the
- * sets' low ways fill the first few 3 MB way-planes, and with the
- * 12.75 MB of set-major keys, stamps and control bytes the replay
- * makes 22 MB resident on 4 KiB pages and 39 MB where transparent
- * huge pages are granted (a way-plane that holds even one entry then
- * costs its 2 MiB pages). With each set's 16 payloads side by side, a
- * live slot sits on nearly every payload page: 58 MB and 67 MB.
+ * Pseudo-random values over 64 PCs: almost every event is a new
+ * order-1..3 context, so each inserts three fcm VPT entries.
  */
-TEST(BankRss, SparseTableMakesOnlyItsUsedWaysResident)
+std::vector<vm::TraceEvent>
+sparseStream()
 {
-    sim::PredictorBank bank;
-    exp::addSpecs(bank, {"fcm3@262144/786432x16"});
-
-    // Pseudo-random values over 64 PCs: almost every event is a new
-    // order-1..3 context, so each inserts three VPT entries.
     constexpr size_t kEvents = 11000;
     std::vector<vm::TraceEvent> events(kEvents);
     uint64_t state = 1;
@@ -104,10 +95,36 @@ TEST(BankRss, SparseTableMakesOnlyItsUsedWaysResident)
         events[i] = {0x1000 + 4 * (i % 64), isa::Opcode{},
                      isa::Category::AddSub, state >> 16};
     }
+    return events;
+}
 
+/** Resident growth in MB of replaying @p events through @p bank. */
+double
+replayGrowthMb(sim::PredictorBank &bank,
+               const std::vector<vm::TraceEvent> &events)
+{
     const double before = residentMb();
     bank.onBatch(vm::TraceSpan(events));
-    const double grown = residentMb() - before;
+    return residentMb() - before;
+}
+
+/**
+ * ~33k distinct contexts in a VPT of 786,432 slots (49,152 sets of
+ * 16 ways, about 4% full), the sparse occupancy of the studies'
+ * largest table. Its 64-byte payloads span 48 MB. Way-major, the
+ * sets' low ways fill the first few 3 MB way-planes, and with the
+ * 7.5 MB of set-major keys, ranks and control bytes the replay makes
+ * 17 MB resident on 4 KiB pages and 31 MB where transparent huge
+ * pages are granted (a way-plane that holds even one entry then costs
+ * its 2 MiB pages).
+ * With each set's 16 payloads side by side, a live slot sits on
+ * nearly every payload page: 58 MB and 67 MB.
+ */
+TEST(BankRss, SparseTableMakesOnlyItsUsedWaysResident)
+{
+    sim::PredictorBank bank;
+    exp::addSpecs(bank, {"fcm3@262144/786432x16"});
+    const double grown = replayGrowthMb(bank, sparseStream());
 
     GaugeSink sink;
     bank.collectCounters(sink);
@@ -116,6 +133,32 @@ TEST(BankRss, SparseTableMakesOnlyItsUsedWaysResident)
     EXPECT_LT(live, 40000u);
     EXPECT_LT(grown, 48.0) << live << " VPT entries made " << grown
                            << " MB resident";
+}
+
+/**
+ * The same sparse replay through the LRU table and its random-victim
+ * twin, which keeps no recency at all. Both fill the same slots (an
+ * insert takes its set's first empty way whatever the policy), so
+ * what LRU makes resident beyond the twin is its recency state: a
+ * rank byte per slot of the touched sets, at most the 1 MB of ranks
+ * over both tables' 1,048,576 slots, plus a 2 MiB page of slack. A
+ * 64-bit stamp per slot would make 7 to 9 MB resident here.
+ */
+TEST(BankRss, RecencyCostsAtMostOneBytePerSlot)
+{
+    sim::PredictorBank random;
+    exp::addSpecs(random, {"fcm3@262144/786432x16r"});
+    sim::PredictorBank lru;
+    exp::addSpecs(lru, {"fcm3@262144/786432x16"});
+    const std::vector<vm::TraceEvent> events = sparseStream();
+
+    const double random_grown = replayGrowthMb(random, events);
+    const double lru_grown = replayGrowthMb(lru, events);
+    constexpr double kSlots = 262144 + 786432;
+    const double bound = kSlots / (1 << 20) + 2.0;
+    EXPECT_LT(lru_grown - random_grown, bound)
+            << "LRU replay made " << lru_grown << " MB resident, its "
+            << "random twin " << random_grown << " MB";
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * Differential test of BoundedTable's control-byte probe
- * (core/bounded_table.hh) against a test-local model of the plain
- * probe it replaced: one valid byte per slot and a scan of the set's
- * ways in ascending order.
+ * Differential test of BoundedTable's control-byte probe and rank-byte
+ * recency (core/bounded_table.hh) against a test-local model of the
+ * plain table they replaced: one valid byte per slot, a scan of the
+ * set's ways in ascending order, and a 64-bit age stamp per slot whose
+ * minimum names the victim.
  *
  * After every step the two must agree on the hit way, the inserted
  * and aliased flags, the payload the step reads, and every counter
@@ -13,7 +14,11 @@
  * (groups of 16 control bytes), 3 and 12 ways and the fully
  * associative table — under full and partial tags and every
  * replacement policy, plus sets whose live keys all share one control
- * byte.
+ * byte. They train both through touch() and through a peekSlot() then
+ * touchAt() of the slot it found, so the rank update (the byte loop
+ * and the 4-way 32-bit step) meets the stamp model's victims at every
+ * width. A 255-way set, the widest a rank byte can order, runs the
+ * loop at its bounds.
  *
  * A second test fills tables of heap-spilling FcmFollowers payloads
  * under insert and evict churn, on power-of-two and other way and set
@@ -69,25 +74,33 @@ class ScanModel
     size_t
     touch(uint64_t key, bool &inserted, bool &aliased)
     {
-        ++tick_;
         size_t slot = find(key);
         inserted = slot == SIZE_MAX;
+        if (!inserted) {
+            touchAt(slot, key, aliased);
+            return slot;
+        }
         aliased = false;
-        if (inserted)
-            slot = victim(key);
-        if (config_.replacement == Replacement::Lru ||
-            (inserted && config_.replacement == Replacement::Fifo))
-            stamps_[slot] = tick_;
-        if (inserted) {
-            keys_[slot] = key;
-            valid_[slot] = 1;
-            values_[slot] = 0;
-        } else if (keys_[slot] != key) {
+        slot = victim(key);
+        if (config_.replacement != Replacement::Random)
+            stamps_[slot] = ++tick_;
+        keys_[slot] = key;
+        valid_[slot] = 1;
+        values_[slot] = 0;
+        return slot;
+    }
+
+    /** A hit's touch of @p slot, found by a probe of @p key. */
+    void
+    touchAt(size_t slot, uint64_t key, bool &aliased)
+    {
+        if (config_.replacement == Replacement::Lru)
+            stamps_[slot] = ++tick_;
+        aliased = keys_[slot] != key;
+        if (aliased) {
             ++telemetry.aliasedTouches;
             keys_[slot] = key;
-            aliased = true;
         }
-        return slot;
     }
 
     uint64_t &value(size_t slot) { return values_[slot]; }
@@ -242,6 +255,30 @@ class Differential
         expectSameCounters();
     }
 
+    /** A peekSlot(), then on a hit a touchAt() of the slot it found
+     *  (on a miss, a touch()), as the fcm fast path trains. */
+    void
+    retouch(uint64_t key, uint64_t stamp)
+    {
+        size_t slot = SIZE_MAX;
+        const uint64_t *found = table_.peekSlot(key, slot);
+        const size_t want = model_.peek(key);
+        ASSERT_EQ(found != nullptr, want != SIZE_MAX) << "key " << key;
+        if (found == nullptr) {
+            touch(key, stamp);
+            return;
+        }
+        ASSERT_EQ(slot, want) << "key " << key;
+        bool aliased = false, want_aliased = false;
+        uint64_t &entry = table_.touchAt(slot, key, &aliased);
+        model_.touchAt(want, key, want_aliased);
+        EXPECT_EQ(aliased, want_aliased) << "key " << key;
+        EXPECT_EQ(entry, model_.value(want)) << "key " << key;
+        entry = stamp;
+        model_.value(want) = stamp;
+        expectSameCounters();
+    }
+
     const BoundedTableTelemetry &model() const { return model_.telemetry; }
 
   private:
@@ -293,8 +330,11 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
                     return k % 2 == 0 ? k : k * 0x9e3779b97f4a7c15ull;
                 };
                 for (uint64_t step = 0; step < 3000; ++step) {
-                    if (rng() % 4 == 0)
+                    const uint64_t op = rng() % 8;
+                    if (op < 2)
                         run.peek(draw());
+                    else if (op < 4)
+                        run.retouch(draw(), step);
                     else
                         run.touch(draw(), step);
                     if (::testing::Test::HasFatalFailure())
@@ -308,6 +348,37 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
                 EXPECT_GT(run.model().probeDepth[1], 0u);
             }
         }
+    }
+}
+
+/**
+ * A rank byte orders at most 255 ways: a wider set-associative table
+ * is refused at build, and a 255-way set, whose ranks reach 254, keeps
+ * the stamp model's LRU and FIFO victims.
+ */
+TEST(BoundedTable, RankBytesOrderAtMost255Ways)
+{
+    EXPECT_NO_THROW(Table({.entries = 510, .ways = 255}));
+    EXPECT_THROW(Table({.entries = 512, .ways = 256}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(Table({.entries = 512, .ways = 0}));
+    for (const Replacement policy : kPolicies) {
+        SCOPED_TRACE(::testing::Message()
+                     << "policy=" << static_cast<int>(policy));
+        Differential run({.entries = 255, .ways = 255,
+                          .replacement = policy});
+        std::mt19937_64 rng(255 + static_cast<uint64_t>(policy));
+        for (uint64_t step = 0; step < 3000; ++step) {
+            const uint64_t key = rng() % 320;
+            if (rng() % 2 == 0)
+                run.retouch(key, step);
+            else
+                run.touch(key, step);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        EXPECT_EQ(run.model().live, 255u);
+        EXPECT_GT(run.model().evictions, 0u);
     }
 }
 

@@ -261,7 +261,8 @@ TEST(SpecDiagnostics, GeometryLegalityIsABuildTimeError)
     // The grammar accepts these shapes; the table constructors reject
     // the geometry (same invalid_argument contract as before).
     for (const char *spec :
-         {"s2@0x4", "s2@256x3", "fcm3@256/0x4", "l@64x128"}) {
+         {"s2@0x4", "s2@256x3", "fcm3@256/0x4", "l@64x128",
+          "l@512x256"}) {
         SCOPED_TRACE(spec);
         EXPECT_NO_THROW(parseSpec(spec));
         EXPECT_THROW(parseSpec(spec).build(), std::invalid_argument);

@@ -1,7 +1,9 @@
-// vplint fixture: heap allocation inside a hot-loop body.
+// vplint fixture: heap allocation inside hot-loop bodies, a leaf's
+// evalBatch and a composite's combineBatch.
 // `tools/vplint tests/static/lint_hotpath_alloc.cc` must exit
-// nonzero with a [hotpath-alloc] violation (wired into ctest with
-// WILL_FAIL, label `static`).
+// nonzero with a [hotpath-alloc] violation in each (wired into ctest
+// with WILL_FAIL, and with a pattern naming combineBatch; label
+// `static`).
 
 #include <cstdint>
 #include <cstddef>
@@ -28,6 +30,21 @@ class Predictor
             auto node = std::make_unique<Node>();
             node->value = pcs[i] ^ values[i];
             last_ = node->value;
+        }
+    }
+
+    void
+    combineBatch(const uint64_t *pcs, size_t n, const uint64_t *const *rows,
+                 uint64_t *valid, uint64_t *correct)
+    {
+        (void)rows;
+        (void)valid;
+        (void)correct;
+        for (size_t i = 0; i < n; ++i) {
+            // Per-event allocation in a composite's loop: forbidden too.
+            auto node = std::make_shared<Node>();
+            node->value = pcs[i];
+            last_ ^= node->value;
         }
     }
 
