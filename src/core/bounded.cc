@@ -25,7 +25,7 @@ boundedSuffixTail(const BoundedTableConfig &config)
     // Built with += (GCC 12's -Wrestrict misfires on the
     // char* + std::string&& operator chain).
     std::string s = "x";
-    s += config.ways == 0 ? "fa" : std::to_string(config.ways);
+    s += std::to_string(config.ways);
     if (config.replacement == Replacement::Random)
         s += "r";
     else if (config.replacement == Replacement::Fifo)

@@ -32,7 +32,7 @@
 
 namespace vp::core {
 
-/** Render "@<entries>x<ways>[r|f][%<tag>]" (ways 0 prints as "fa"). */
+/** Render "@<entries>x<ways>[r|f][%<tag>]". */
 std::string boundedSuffix(const BoundedTableConfig &config);
 
 /** The entry-count-less tail of boundedSuffix ("x4r%8") — shared
@@ -78,11 +78,14 @@ class BoundedLastValuePredictor : public ValuePredictor
     void collectCounters(CounterSink &sink) const override;
 
     /** The underlying table (eviction and aliasing counters). */
-    const BoundedTable<LvEntry> &table() const { return table_; }
+    const BoundedTable<LvEntry, KeyKind::PcIndexed> &table() const
+    {
+        return table_;
+    }
 
   private:
     LvConfig config_;
-    BoundedTable<LvEntry> table_;
+    BoundedTable<LvEntry, KeyKind::PcIndexed> table_;
 };
 
 /** Bounded stride predictor: StrideEntry logic on a BoundedTable. */
@@ -110,11 +113,14 @@ class BoundedStridePredictor : public ValuePredictor
     void collectCounters(CounterSink &sink) const override;
 
     /** The underlying table (eviction and aliasing counters). */
-    const BoundedTable<StrideEntry> &table() const { return table_; }
+    const BoundedTable<StrideEntry, KeyKind::PcIndexed> &table() const
+    {
+        return table_;
+    }
 
   private:
     StrideConfig config_;
-    BoundedTable<StrideEntry> table_;
+    BoundedTable<StrideEntry, KeyKind::PcIndexed> table_;
 };
 
 /** Bounded two-level FCM configuration. */
@@ -147,8 +153,8 @@ struct BoundedFcmConfig
  *
  * Prediction and training mirror FcmPredictor (longest matching
  * context of orders k..0, lazy-exclusion/full/no blending, shared
- * FcmFollowers counting), so with fully associative tables that are
- * never full the per-event behaviour is identical to the unbounded
+ * FcmFollowers counting), so with tables that never evict the
+ * per-event behaviour is identical to the unbounded
  * predictor — the property bounded_equivalence_test pins. Under
  * pressure, VHT evictions lose a PC's history and VPT evictions lose
  * learned contexts, which is precisely the finite-resource cost the
@@ -219,8 +225,8 @@ class BoundedFcmPredictor : public ValuePredictor
     int longestMatch(uint64_t pc, const VhtEntry &entry) const;
 
     BoundedFcmConfig config_;
-    BoundedTable<VhtEntry> vht_;
-    BoundedTable<FcmFollowers> vpt_;
+    BoundedTable<VhtEntry, KeyKind::PcIndexed> vht_;
+    BoundedTable<FcmFollowers, KeyKind::Hashed> vpt_;
     uint64_t seq_ = 0;
 };
 

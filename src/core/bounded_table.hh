@@ -42,7 +42,6 @@
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #if defined(__SSE2__)
@@ -90,12 +89,8 @@ struct BoundedTableConfig
     /** Total entry budget. Must be a positive multiple of @c ways. */
     size_t entries = 1024;
 
-    /**
-     * Set associativity. 0 selects a fully associative organisation
-     * (the idealised configuration the equivalence tests use: with
-     * enough entries it never evicts and is exactly the unbounded
-     * table). Otherwise must divide @c entries.
-     */
+    /** Set associativity: at most 255, and must divide @c entries
+     *  (ways == entries is one fully associative set). */
     size_t ways = 4;
 
     Replacement replacement = Replacement::Lru;
@@ -119,7 +114,7 @@ struct BoundedTableConfig
 /**
  * Fixed-capacity key -> Entry map organised as sets x ways.
  *
- * The set-associative mode stores slots in a structure-of-arrays
+ * The table stores slots in a structure-of-arrays
  * layout — keys, recency ranks, control bytes and entry payloads in
  * flat arrays — and the payload array is only dereferenced on a hit
  * or a victim. Slot set * ways + way is the public slot id and the
@@ -152,10 +147,7 @@ struct BoundedTableConfig
  * prefetch() issues a software prefetch of a key's set (its keys,
  * control bytes and way-0 payload), which batched replay uses to
  * overlap the next events' table misses with the current event's
- * work. The fully associative mode (ways == 0) keeps
- * an exact key -> slot index on the side so lookups stay O(1) even
- * with large entry counts; it exists for verification and idealised
- * sweeps, not as a hardware proposal.
+ * work.
  *
  * Recency is a rank byte per slot, as hardware keeps a few bits per
  * way: 0 is the most recent way of its set, and the live ways of a
@@ -168,10 +160,7 @@ struct BoundedTableConfig
  * whose age stamp a 64-bit clock would make the smallest. A rank must
  * fit a byte, so a set holds at most 255 ways. The update is one
  * branch-free loop over the set's rank bytes, or for 4-way sets one
- * 32-bit step. Random tables keep no rank array at all. The fully associative mode instead
- * stamps its slots from a 64-bit clock (again only under LRU or FIFO)
- * and scans the stamps for the oldest, since a rank update there
- * would rewrite the whole table.
+ * 32-bit step. Random tables keep no rank array at all.
  *
  * Every array starts out zero-filled and untouched (core/hugepage.hh):
  * an all-zero slot is an empty one, so building a table writes no
@@ -179,7 +168,12 @@ struct BoundedTableConfig
  * in by the first touch of one of its sets (of its payloads, for the
  * way-major payload array). Smaller arrays come from calloc(), which
  * may hand out recycled heap memory and zero it by writing, so they
- * can be resident from the build on.
+ * can be resident from the build on. The @p Keys kind, which every
+ * owner states, picks the pages of the large arrays: a PC-indexed
+ * table (last value, stride, the fcm VHT, the hybrid chooser) fills
+ * only the few adjacent sets of a program's static PCs and stays on
+ * 4 KiB pages, while a hashed-key table (the fcm VPT) spreads over
+ * every set and asks for huge pages.
  *
  * Invariant: a slot whose control byte is 0 holds an empty Entry{} and
  * so owns no resource (no heap cells of a spilled FcmFollowers list).
@@ -196,7 +190,7 @@ struct BoundedTableConfig
  * observable state), update() uses @c touch() which inserts, evicts
  * and refreshes recency.
  */
-template <typename Entry>
+template <typename Entry, KeyKind Keys>
 class BoundedTable
 {
   public:
@@ -205,9 +199,8 @@ class BoundedTable
     {
         if (config_.entries == 0)
             throw std::invalid_argument("bounded table needs entries > 0");
-        if (config_.ways != 0 &&
-            (config_.ways > config_.entries ||
-             config_.entries % config_.ways != 0)) {
+        if (config_.ways == 0 || config_.ways > config_.entries ||
+            config_.entries % config_.ways != 0) {
             throw std::invalid_argument(
                     "bounded table ways must divide entries");
         }
@@ -225,23 +218,16 @@ class BoundedTable
         ctrl_.resize(config_.entries);
         entries_.resize(config_.entries);
         // Random replacement keeps no recency at all.
-        const size_t recency = config_.replacement == Replacement::Random
-                                       ? 0
-                                       : config_.entries;
-        if (fullyAssociative()) {
-            index_.reserve(config_.entries);
-            stamps_.resize(recency);
+        if (config_.replacement != Replacement::Random)
+            ranks_.resize(config_.entries);
+        sets_ = config_.entries / config_.ways;
+        setMask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
+        if (std::has_single_bit(config_.ways)) {
+            wayMask_ = config_.ways - 1;
+            wayShift_ =
+                    static_cast<unsigned>(std::countr_zero(config_.ways));
         } else {
-            ranks_.resize(recency);
-            sets_ = config_.entries / config_.ways;
-            setMask_ = (sets_ & (sets_ - 1)) == 0 ? sets_ - 1 : 0;
-            if (std::has_single_bit(config_.ways)) {
-                wayMask_ = config_.ways - 1;
-                wayShift_ = static_cast<unsigned>(
-                        std::countr_zero(config_.ways));
-            } else {
-                divideWays_ = true;
-            }
+            divideWays_ = true;
         }
     }
 
@@ -266,8 +252,6 @@ class BoundedTable
             }
         }
     }
-
-    bool fullyAssociative() const { return config_.ways == 0; }
 
     /**
      * The control byte of a slot storing @p tag: 0x80 | the top 7 bits
@@ -350,16 +334,6 @@ class BoundedTable
     const Entry *
     peekSlot(uint64_t key, size_t &slot) const
     {
-        if (fullyAssociative()) {
-            noteProbe(1);
-            const auto it = index_.find(tagOf(key));
-            if (it == index_.end())
-                return nullptr;
-            if (keys_[it->second] != key)
-                ++aliasedPeeks_;
-            slot = it->second;
-            return &entries_[it->second];
-        }
         const size_t set = setOf(key);
         const size_t base = set * config_.ways;
         const int w = hitWay(base, key);
@@ -406,8 +380,6 @@ class BoundedTable
     prefetch(uint64_t key) const
     {
 #if defined(__GNUC__) || defined(__clang__)
-        if (fullyAssociative())
-            return;
         // The set's ranks are not prefetched, although an LRU hit
         // loads and rewrites them: without that prefetch neither
         // batched serving nor the studies ran slower than with the
@@ -445,8 +417,7 @@ class BoundedTable
     Entry &
     touch(uint64_t key, bool &inserted, bool *aliased = nullptr)
     {
-        const size_t s = fullyAssociative() ? touchFa(key, inserted)
-                                            : touchSet(key, inserted);
+        const size_t s = touchSet(key, inserted);
         if (refreshes(inserted))
             refresh(s, inserted);
         Entry &entry = entries_[payloadOf(s)];
@@ -470,9 +441,7 @@ class BoundedTable
         std::fill(keys_.begin(), keys_.end(), 0);
         std::fill(ranks_.begin(), ranks_.end(), 0);
         std::fill(ctrl_.begin(), ctrl_.end(), 0);
-        std::fill(stamps_.begin(), stamps_.end(), 0);
         std::fill(entries_.begin(), entries_.end(), Entry{});
-        index_.clear();
         live_ = 0;
         evictions_ = 0;
         aliasedPeeks_ = 0;
@@ -481,13 +450,12 @@ class BoundedTable
         aliasDestructive_ = 0;
         probes_ = 0;
         probeDepth_.fill(0);
-        tick_ = 0;
         rng_ = config_.seed | 1;
     }
 
   private:
     /** Ways a probe examined: w + 1 on a hit in way w, the whole set
-     *  on a miss (FA mode reports 1 — its index lookup is O(1)). */
+     *  on a miss. */
     size_t
     probedWays(int hit) const
     {
@@ -515,19 +483,14 @@ class BoundedTable
     }
 
     /**
-     * Make @p slot the most recent of its set: a fresh stamp in fully
-     * associative mode, otherwise rank 0, moving ahead of every way
-     * ranked before it (of every way, for an insert). Ways that are
-     * not live take part too, harmlessly: no rank grows past the way
-     * count, and an insert resets its slot's rank.
+     * Make @p slot the most recent of its set: rank 0, moving ahead of
+     * every way ranked before it (of every way, for an insert). Ways
+     * that are not live take part too, harmlessly: no rank grows past
+     * the way count, and an insert resets its slot's rank.
      */
     void
     refresh(size_t slot, bool inserted)
     {
-        if (fullyAssociative()) {
-            stamps_[slot] = ++tick_;
-            return;
-        }
         const size_t ways = config_.ways;
         const size_t way = divideWays_ ? slot % ways : slot & wayMask_;
         uint8_t *const set = &ranks_[slot - way];
@@ -637,8 +600,7 @@ class BoundedTable
      * Index into entries_ of slot @p slot = set * ways + way: way w of
      * set s lives at w * sets_ + s (see the class comment). A
      * power-of-two way count splits the slot with a mask and a shift,
-     * any other with a division. In fully associative mode mask, shift
-     * and sets_ are all 0, so every slot maps to itself.
+     * any other with a division.
      */
     size_t
     payloadOf(size_t slot) const
@@ -715,48 +677,17 @@ class BoundedTable
         return oldest;
     }
 
-    size_t
-    touchFa(uint64_t key, bool &inserted)
-    {
-        noteProbe(1);
-        const auto it = index_.find(tagOf(key));
-        if (it != index_.end()) {
-            inserted = false;
-            return it->second;
-        }
-        inserted = true;
-        size_t victim;
-        if (live_ < config_.entries) {
-            victim = live_++;
-        } else {
-            ++evictions_;
-            if (config_.replacement == Replacement::Random) {
-                victim = nextRandom() % config_.entries;
-            } else {
-                victim = 0;
-                for (size_t i = 1; i < config_.entries; ++i) {
-                    if (stamps_[i] < stamps_[victim])
-                        victim = i;
-                }
-            }
-            index_.erase(tagOf(keys_[victim]));
-        }
-        index_.emplace(tagOf(key), victim);
-        return victim;
-    }
-
-    /** Backing store for the flat slot arrays: huge-page-backed when
-     *  large, so random probes (and the batched path's software
-     *  prefetches) don't drown in TLB misses. */
+    /** Backing store for the flat slot arrays, paged as the key kind
+     *  calls for (core/hugepage.hh). */
     template <typename T>
-    using Array = std::vector<T, HugePageAllocator<T>>;
+    using Array = std::vector<T, HugePageAllocator<T, Keys>>;
 
     /** The payload array's allocator: element destruction is left to
      *  ~BoundedTable, which knows which slots are live. */
     template <typename T>
-    struct SlotAllocator : HugePageAllocator<T>
+    struct SlotAllocator : HugePageAllocator<T, Keys>
     {
-        using HugePageAllocator<T>::HugePageAllocator;
+        using HugePageAllocator<T, Keys>::HugePageAllocator;
 
         template <typename U>
         struct rebind
@@ -780,9 +711,7 @@ class BoundedTable
     Array<uint8_t> ranks_;      ///< recency (set-assoc LRU/FIFO only)
     Array<uint8_t> ctrl_;                   ///< 0 = empty (see class doc)
     std::vector<Entry, SlotAllocator<Entry>> entries_;  ///< way-major
-    std::unordered_map<uint64_t, size_t> index_;    // fa: tag -> slot
-    Array<uint64_t> stamps_;                        // fa LRU/FIFO: age
-    size_t sets_ = 0;                               // set-assoc mode
+    size_t sets_ = 0;
     size_t setMask_ = 0;                            // sets_ - 1 if pow2
     size_t wayMask_ = 0;                            // ways - 1 if pow2
     unsigned wayShift_ = 0;                         // log2(ways) if pow2
@@ -800,7 +729,6 @@ class BoundedTable
     mutable uint64_t probes_ = 0;
     mutable std::array<uint64_t, BoundedTableTelemetry::maxDepth + 1>
             probeDepth_{};
-    uint64_t tick_ = 0;                             // fa: stamp clock
     uint64_t rng_;
 };
 

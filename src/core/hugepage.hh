@@ -12,13 +12,23 @@
  * a tens-of-MB table to a handful of TLB entries, making both the
  * demand loads and the prefetches reliable.
  *
- * Huge pages are a hint-only facility with a three-step ladder for
- * allocations of at least one huge page: an explicit hugetlb mapping
- * when the administrator has reserved a pool (vm.nr_hugepages — the
- * only mechanism that works on kernels where transparent huge pages
- * are configured but never granted, as in some microVMs), else
- * anonymous memory with MADV_HUGEPAGE, else plain pages. Every rung
- * has identical observable behaviour.
+ * Huge pages pay only where keys spread over every set, so each
+ * table states its key kind (KeyKind) and the allocator takes its
+ * page advice from it, for allocations of at least one huge page:
+ *
+ *  - Hashed keys (the fcm VPT's context hashes) take a three-step
+ *    ladder: an explicit hugetlb mapping when the administrator has
+ *    reserved a pool (vm.nr_hugepages — the only mechanism that works
+ *    on kernels where transparent huge pages are configured but never
+ *    granted, as in some microVMs), else anonymous memory with
+ *    MADV_HUGEPAGE, else plain pages.
+ *  - PC-indexed keys (last value, stride, the fcm VHT, the hybrid
+ *    chooser) hold a program's static PCs, which fill a few adjacent
+ *    sets: anonymous memory with MADV_NOHUGEPAGE, so that such an
+ *    array stays on 4 KiB pages under either host THP mode (always or
+ *    madvise) and costs the pages of its used sets only.
+ *
+ * Every rung has identical observable behaviour.
  *
  * Zero is empty. Every rung hands out zero-filled storage: calloc()
  * below 2 MiB, hugetlb and anonymous mmap (zero by the kernel's
@@ -44,15 +54,23 @@
  * same capacity, which the bounded tables (sized once at
  * construction) never do.
  *
- * MADV_HUGEPAGE stays on although it makes the first touch of a
- * 2 MiB region fault in the whole region. Measured on the same host,
- * zeroed storage in place, 3 alternating runs each: dropping the hint
- * cut the seven-sweep studies dry-run's peak RSS from 1.8–2.0 GB to
- * 1.4 GB but raised its wall time from 7.1–8.2 s to 12.5–13.6 s and
- * its system time from 3.8–4.0 s to 14.8–16.9 s, because 512
- * separate 4 KiB first-touch faults cost more than one huge one. On
- * full-scale traces (one run each) it also slowed 1M-entry replay:
- * l 37 -> 59, s2 41 -> 67 and fcm3 510 -> 1503 ns/event.
+ * Why huge pages only for hashed keys. MADV_HUGEPAGE makes the first
+ * touch of a 2 MiB region fault in, and zero, the whole region. A
+ * hashed-key table touches nearly every region, so there one huge
+ * fault beats 512 small ones and their TLB misses: dropping the hint
+ * for every table, the VPT included, once raised the seven-sweep
+ * studies dry-run's wall time from 7.1-8.2 s to 12.5-13.6 s and slowed
+ * 1M-entry fcm3 replay from 510 to 1503 ns/event. A PC-indexed table
+ * touches only the few sets of a program's static PCs, so a huge page
+ * there buys no TLB reach and makes 2 MiB resident per touched array:
+ * 64 PCs replayed through l@1048576x16 made 4.2 MB resident on huge
+ * pages and 40 KB on 4 KiB pages. Moving the PC-indexed arrays to
+ * 4 KiB pages (4 vCPU Xeon, 10 alternating pairs) cut the studies
+ * dry-run's peak RSS from 829 to 564 MB (10/10) with its wall time
+ * unchanged (2.91 -> 2.78 s, unresolved), and in 5 traced pairs each
+ * of studies and batched serving cut 1M-entry l and s2 replay from
+ * 38-43 to 23-26 ns/event, which no longer faults in a huge page per
+ * touched array.
  */
 
 #ifndef VP_CORE_HUGEPAGE_HH
@@ -98,13 +116,20 @@ struct ZeroInitialised<T> : std::true_type
  */
 struct ZeroStorageAccess;
 
+/** How a table's keys spread over its sets, which decides the page
+ *  advice of its large arrays (see the file comment). */
+enum class KeyKind {
+    PcIndexed,      ///< static PCs: a few adjacent sets; 4 KiB pages
+    Hashed,         ///< context hashes: every set; huge pages
+};
+
 /**
- * Minimal std::allocator replacement that returns zeroed storage and
- * requests huge pages for allocations of at least one huge page. All
- * instances compare equal (the allocator is stateless), so vectors
- * using it can be swapped/moved freely.
+ * Minimal std::allocator replacement that returns zeroed storage and,
+ * for allocations of at least one huge page, advises the pages @p Keys
+ * calls for. All instances compare equal (the allocator is
+ * stateless), so vectors using it can be swapped/moved freely.
  */
-template <typename T>
+template <typename T, KeyKind Keys>
 struct HugePageAllocator
 {
     using value_type = T;
@@ -114,10 +139,16 @@ struct HugePageAllocator
     static_assert(alignof(T) <= alignof(std::max_align_t),
                   "calloc() alignment is too small for T");
 
+    template <typename U>
+    struct rebind
+    {
+        using other = HugePageAllocator<U, Keys>;
+    };
+
     HugePageAllocator() = default;
 
     template <typename U>
-    HugePageAllocator(const HugePageAllocator<U> &)
+    HugePageAllocator(const HugePageAllocator<U, Keys> &)
     {
     }
 
@@ -133,18 +164,24 @@ struct HugePageAllocator
         const std::size_t rounded =
                 (bytes + hugePage - 1) & ~(hugePage - 1);
 #if defined(__linux__)
-        // Preallocated huge pages first (vm.nr_hugepages pool; the
-        // mmap fails upfront when the pool is too small), then
-        // transparent huge pages as a hint, then plain pages. Both
-        // mappings are anonymous, hence zero-filled.
-        void *p = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
+        // Hashed keys: preallocated huge pages first (vm.nr_hugepages
+        // pool; the mmap fails upfront when the pool is too small),
+        // then transparent huge pages as a hint, then plain pages.
+        // PC-indexed keys: plain pages, never huge. Both mappings are
+        // anonymous, hence zero-filled.
+        void *p = MAP_FAILED;
+        if constexpr (Keys == KeyKind::Hashed) {
+            p = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
+        }
         if (p == MAP_FAILED) {
             p = mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
             if (p == MAP_FAILED)
                 throw std::bad_alloc();
-            madvise(p, rounded, MADV_HUGEPAGE);
+            madvise(p, rounded,
+                    Keys == KeyKind::Hashed ? MADV_HUGEPAGE
+                                            : MADV_NOHUGEPAGE);
         }
         return static_cast<T *>(p);
 #else
@@ -185,18 +222,12 @@ struct HugePageAllocator
     }
 };
 
-template <typename T, typename U>
+template <typename T, typename U, KeyKind Keys>
 bool
-operator==(const HugePageAllocator<T> &, const HugePageAllocator<U> &)
+operator==(const HugePageAllocator<T, Keys> &,
+           const HugePageAllocator<U, Keys> &)
 {
     return true;
-}
-
-template <typename T, typename U>
-bool
-operator!=(const HugePageAllocator<T> &, const HugePageAllocator<U> &)
-{
-    return false;
 }
 
 } // namespace vp::core

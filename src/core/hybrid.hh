@@ -148,7 +148,8 @@ class HybridPredictor : public ValuePredictor
     std::array<SharedPredictor, 2> parts_;
     HybridChooser chooser_;
     std::unordered_map<uint64_t, int> mapChooser_;      // unbounded
-    std::optional<BoundedTable<ChooserEntry>> boundedChooser_;
+    std::optional<BoundedTable<ChooserEntry, KeyKind::PcIndexed>>
+            boundedChooser_;
     uint64_t choseSecond_ = 0;
     uint64_t choices_ = 0;
     uint64_t chooserFlips_ = 0;

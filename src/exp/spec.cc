@@ -24,17 +24,7 @@ TableGeometry::config() const
 std::string
 TableGeometry::canonicalSuffix() const
 {
-    std::string s = "x";
-    s += ways == 0 ? "fa" : std::to_string(ways);
-    if (replacement == core::Replacement::Random)
-        s += "r";
-    else if (replacement == core::Replacement::Fifo)
-        s += "f";
-    if (tagBits > 0) {
-        s += "%";
-        s += std::to_string(tagBits);
-    }
-    return s;
+    return core::boundedSuffixTail(config());
 }
 
 std::string
@@ -138,7 +128,7 @@ parseNumber(Cursor &cursor, const char *what)
 }
 
 /**
- * "<E>[/<P>]x<W|fa>[r|f][%<T>]" with every piece after the entry
+ * "<E>[/<P>]x<W>[r|f][%<T>]" with every piece after the entry
  * count optional. @p vpt non-null allows the fcm VHT/VPT split.
  */
 TableGeometry
@@ -154,23 +144,10 @@ parseGeometry(Cursor &cursor, std::optional<size_t> *vpt)
         *vpt = parseNumber(cursor, "vpt entry count");
     }
     if (cursor.eat('x')) {
-        if (cursor.peek() == 'f') {
-            const size_t at = cursor.pos();
-            cursor.advance();
-            if (!cursor.eat('a'))
-                cursor.fail("bad associativity (expected 'fa')", at);
-            geometry.ways = 0;
-        } else {
-            const size_t at = cursor.pos();
-            geometry.ways = parseNumber(cursor, "associativity");
-            if (geometry.ways == 0) {
-                // 0 is the internal fully-associative encoding; the
-                // grammar reserves the explicit "fa" spelling for it.
-                cursor.fail("ways must be positive (use 'xfa' for "
-                            "fully associative)",
-                            at);
-            }
-        }
+        const size_t at = cursor.pos();
+        geometry.ways = parseNumber(cursor, "associativity");
+        if (geometry.ways == 0)
+            cursor.fail("ways must be positive", at);
     }
     if (cursor.peek() == 'r') {
         geometry.replacement = core::Replacement::Random;
@@ -491,12 +468,12 @@ specGrammarHelp()
 "  budget     := geometry                            one table (lv/stride)\n"
 "             |  V \"/\" P suffix                      fcm VHT/VPT split\n"
 "  geometry   := E suffix\n"
-"  suffix     := [\"x\" (W|\"fa\")] [\"r\"|\"f\"] [\"%\" T]\n"
+"  suffix     := [\"x\" W] [\"r\"|\"f\"] [\"%\" T]\n"
 "  confidence := \":c\" W \"t\" T [\"r\"|\"d\"]\n"
 "\n"
 "Budgets make a spec's tables finite (set-associative, E/V/P entry\n"
-"counts, W <= 255 ways, default 4, \"fa\" = fully associative; victim\n"
-"policy LRU by default, \"r\" = deterministic-random, \"f\" = FIFO).\n"
+"counts, W <= 255 ways, default 4, W = E is one fully associative set;\n"
+"victim policy LRU by default, \"r\" = deterministic-random, \"f\" = FIFO).\n"
 "\"%T\" stores only the low T bits of each key as the tag, so distinct\n"
 "keys may alias (the aliasing experiment's knob); omitted = full 64-bit\n"
 "keys. Spec-built bounded fcm keeps at most 4 follower values per VPT\n"

@@ -54,7 +54,7 @@ struct TableGeometry
 {
     size_t entries = 0;
 
-    /** Associativity; 0 = fully associative ("fa"). */
+    /** Associativity (ways per set). */
     size_t ways = 4;
 
     core::Replacement replacement = core::Replacement::Lru;

@@ -161,6 +161,25 @@ TEST(BankRss, RecencyCostsAtMostOneBytePerSlot)
             << "random twin " << random_grown << " MB";
 }
 
+/**
+ * PC-indexed tables hold a program's static PCs in a few adjacent
+ * sets, so their 1M-entry arrays stay on 4 KiB pages (core/hugepage.hh)
+ * and the 64 PCs of the sparse stream make only the pages of their
+ * sets resident: about 20-40 KB per table. On huge pages each array
+ * a PC touches would cost a whole 2 MiB page, about 4 MB per table.
+ */
+TEST(BankRss, PcIndexedTablesStayOnSmallPages)
+{
+    const std::vector<vm::TraceEvent> events = sparseStream();
+    for (const char *spec : {"l@1048576x16", "s2@1048576x16"}) {
+        sim::PredictorBank bank;
+        exp::addSpecs(bank, {spec});
+        const double grown = replayGrowthMb(bank, events);
+        EXPECT_LT(grown, 1.0) << spec << " replay made " << grown
+                              << " MB resident";
+    }
+}
+
 } // namespace
 
 #endif // __linux__

@@ -130,7 +130,7 @@ specsUnderTest()
         "l", "l-sat", "s2", "s-sat", "fcm1", "fcm3", "fcm2-pure",
         "fcm2-full",
         // Bounded, across associativity / replacement / partial tags.
-        "l@64x2", "l@32x4r", "s2@64x4f", "s2@32xfa", "l@64x2%8",
+        "l@64x2", "l@32x4r", "s2@64x4f", "s2@32x32", "l@64x2%8",
         "fcm2@64/256x4", "fcm2@32/128x2%10",
         // Confidence-gated, unbounded and bounded inners.
         "fcm3:c2t2", "l@64x2:c1t1d",

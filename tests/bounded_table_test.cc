@@ -11,8 +11,8 @@
  * the table keeps (live entries, evictions, alias counts, probes and
  * the probe-depth histogram). The streams cover every probe shape —
  * 1, 2, 4 and 8 ways (scalar or 4-way branchless), 16 and 32 ways
- * (groups of 16 control bytes), 3 and 12 ways and the fully
- * associative table — under full and partial tags and every
+ * (groups of 16 control bytes), 3 and 12 ways — under full and
+ * partial tags and every
  * replacement policy, plus sets whose live keys all share one control
  * byte. They train both through touch() and through a peekSlot() then
  * touchAt() of the slot it found, so the rank update (the byte loop
@@ -22,8 +22,8 @@
  *
  * A second test fills tables of heap-spilling FcmFollowers payloads
  * under insert and evict churn, on power-of-two and other way and set
- * counts, so every slot -> payload mapping (mask and shift, division,
- * identity) and the live-only teardown run; under -DVP_SANITIZE=ON a
+ * counts, so both slot -> payload mappings (mask and shift, and
+ * division) and the live-only teardown run; under -DVP_SANITIZE=ON a
  * leaked or doubly freed follower list fails it.
  */
 
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <map>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "core/bounded_table.hh"
@@ -43,7 +42,7 @@ namespace {
 
 using namespace vp::core;
 
-using Table = BoundedTable<uint64_t>;
+using Table = BoundedTable<uint64_t, KeyKind::Hashed>;
 
 /** The reference: valid bytes and an in-order scan of the set. */
 class ScanModel
@@ -52,12 +51,10 @@ class ScanModel
     explicit ScanModel(const BoundedTableConfig &config)
         : config_(config), keys_(config.entries), stamps_(config.entries),
           valid_(config.entries), values_(config.entries),
-          rng_(config.seed | 1)
+          sets_(config.entries / config.ways), rng_(config.seed | 1)
     {
         if (config.tagBits > 0)
             tagMask_ = (uint64_t{1} << config.tagBits) - 1;
-        if (config.ways != 0)
-            sets_ = config.entries / config.ways;
     }
 
     /** The slot @p key hits, or SIZE_MAX; counted as a probe. */
@@ -133,11 +130,6 @@ class ScanModel
     size_t
     find(uint64_t key)
     {
-        if (config_.ways == 0) {
-            noteProbe(1);
-            const auto it = index_.find(tagOf(key));
-            return it == index_.end() ? SIZE_MAX : it->second;
-        }
         const size_t base = setBase(key);
         for (size_t w = 0; w < config_.ways; ++w) {
             if (valid_[base + w] && tagOf(keys_[base + w]) == tagOf(key)) {
@@ -174,19 +166,6 @@ class ScanModel
     victim(uint64_t key)
     {
         const bool random = config_.replacement == Replacement::Random;
-        if (config_.ways == 0) {
-            size_t slot;
-            if (telemetry.live < config_.entries) {
-                slot = telemetry.live++;
-            } else {
-                ++telemetry.evictions;
-                slot = random ? nextRandom() % config_.entries
-                              : oldest(0, config_.entries);
-                index_.erase(tagOf(keys_[slot]));
-            }
-            index_.emplace(tagOf(key), slot);
-            return slot;
-        }
         const size_t base = setBase(key);
         for (size_t w = 0; w < config_.ways; ++w) {
             if (!valid_[base + w]) {
@@ -204,8 +183,7 @@ class ScanModel
     std::vector<uint64_t> stamps_;
     std::vector<uint8_t> valid_;
     std::vector<uint64_t> values_;
-    std::unordered_map<uint64_t, size_t> index_;
-    size_t sets_ = 0;
+    size_t sets_;
     uint64_t tagMask_ = 0;
     uint64_t tick_ = 0;
     uint64_t rng_;
@@ -306,7 +284,7 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
 {
     for (const size_t ways : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
                               size_t{8}, size_t{12}, size_t{16},
-                              size_t{32}, size_t{0}}) {
+                              size_t{32}}) {
         for (const int tag_bits : {0, 4, 8, 16}) {
             for (const Replacement policy : kPolicies) {
                 SCOPED_TRACE(::testing::Message()
@@ -315,7 +293,7 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
                 // 256 entries, or 255 and 252 (85 and 21 sets) for
                 // the way counts that do not divide it.
                 const BoundedTableConfig config{
-                        .entries = ways == 0 ? 256 : 256 / ways * ways,
+                        .entries = 256 / ways * ways,
                         .ways = ways,
                         .replacement = policy,
                         .tagBits = tag_bits};
@@ -352,8 +330,8 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
 }
 
 /**
- * A rank byte orders at most 255 ways: a wider set-associative table
- * is refused at build, and a 255-way set, whose ranks reach 254, keeps
+ * A rank byte orders at most 255 ways: a wider table, like one of no
+ * ways, is refused at build, and a 255-way set, whose ranks reach 254, keeps
  * the stamp model's LRU and FIFO victims.
  */
 TEST(BoundedTable, RankBytesOrderAtMost255Ways)
@@ -361,7 +339,7 @@ TEST(BoundedTable, RankBytesOrderAtMost255Ways)
     EXPECT_NO_THROW(Table({.entries = 510, .ways = 255}));
     EXPECT_THROW(Table({.entries = 512, .ways = 256}),
                  std::invalid_argument);
-    EXPECT_NO_THROW(Table({.entries = 512, .ways = 0}));
+    EXPECT_THROW(Table({.entries = 512, .ways = 0}), std::invalid_argument);
     for (const Replacement policy : kPolicies) {
         SCOPED_TRACE(::testing::Message()
                      << "policy=" << static_cast<int>(policy));
@@ -469,20 +447,19 @@ TEST(BoundedTable, PayloadsReadBackUnderChurn)
         size_t entries;
         size_t ways;
     };
-    // Mask-and-shift (4, 16 ways), division (3, 12 ways) and identity
-    // (fully associative) mappings, with power-of-two and other set
-    // counts.
+    // Mask-and-shift (4, 16 ways) and division (3, 12 ways) mappings,
+    // with power-of-two and other set counts.
     const Geometry geometries[] = {{64, 4},  {40, 4},  {64, 16}, {48, 16},
-                                   {96, 3},  {45, 3},  {96, 12}, {60, 12},
-                                   {50, 0}};
+                                   {96, 3},  {45, 3},  {96, 12}, {60, 12}};
     for (const Geometry &g : geometries) {
         for (const Replacement policy : kPolicies) {
             SCOPED_TRACE(::testing::Message()
                          << "entries=" << g.entries << " ways=" << g.ways
                          << " policy=" << static_cast<int>(policy));
-            BoundedTable<FcmFollowers> table({.entries = g.entries,
-                                              .ways = g.ways,
-                                              .replacement = policy});
+            BoundedTable<FcmFollowers, KeyKind::Hashed> table(
+                    {.entries = g.entries,
+                     .ways = g.ways,
+                     .replacement = policy});
             std::map<uint64_t, std::map<uint64_t, uint32_t>> model;
             std::mt19937_64 rng(g.entries * 17 + g.ways);
             uint64_t evicted = 0;

@@ -39,7 +39,7 @@ budgetCases()
         {"", ""},
         {"@256x4", "@64/256x4"},
         {"@1024x16", "@256/1024x16"},
-        {"@64xfa", "@64/256xfa"},
+        {"@64x64", "@64/256x64"},
         {"@512x8r", "@128/512x8r"},
         {"@256x2f", "@64/256x2f"},
     };
@@ -116,7 +116,7 @@ TEST(SpecRoundTrip, HybridCompositionsAcrossTheGrid)
         "fcm3@256/1024x4", "fcm2-pure@64/256x2r:c2t2",
     };
     const std::vector<std::string> choosers = {
-        "", ";ch@512x4", ";ch@256x4f%6", ";ch@64xfa",
+        "", ";ch@512x4", ";ch@256x4f%6", ";ch@64x64",
     };
     for (const auto &a : components) {
         for (const auto &b : components) {
@@ -210,6 +210,7 @@ TEST(SpecDiagnostics, MalformedSpecsNameThePositionAndToken)
          {"unexpected trailing characters", "position 7", "\"q\""}},
         {"l%8", {"unexpected trailing characters", "position 1"}},
         {"l@256x0", {"ways must be positive", "position 6"}},
+        {"l@256xfa", {"bad associativity", "position 6", "\"fa\""}},
         {"l@256x4%0", {"tag width must be in [1, 63]", "position 8"}},
         {"l@256x4%64", {"tag width must be in [1, 63]", "position 8"}},
         {"l@256x4%", {"bad tag width", "position 8"}},
@@ -275,7 +276,7 @@ TEST(SpecHelp, GrammarHelpIsTheSingleSourceOfTruth)
     // The productions every surface (vpexp --spec-help, vpsim list)
     // prints: families, budgets, tags, compositions, confidence.
     for (const char *token :
-         {"hybrid(", ";ch@", "%", ":c", "\"fa\"", "spec", "geometry",
+         {"hybrid(", ";ch@", "%", ":c", "W <= 255", "spec", "geometry",
           "confidence", "l@1024x4%8"}) {
         EXPECT_NE(help.find(token), std::string::npos) << token;
     }

@@ -7,7 +7,9 @@
  *    value-initialised state is all-zero bytes, so zeroed storage
  *    already holds one;
  *  - HugePageAllocator hands out zeroed storage on the small (calloc)
- *    rung and on the huge-page rung, also when a block is reused;
+ *    rung and, at and above 2 MiB, under both page advices (huge
+ *    pages for hashed keys, 4 KiB pages for PC-indexed ones), also
+ *    when a block is reused;
  *  - FcmFollowers::CellList behaves like a std::vector<Cell> through
  *    spills, copies, moves, clear() and eraseIf(), and an all-zero
  *    FcmFollowers is empty;
@@ -99,10 +101,11 @@ TEST(ZeroStorage, OtherTypesAreNotOptedIn)
 
 /** Allocate @p n, check zero, dirty, free; twice, so the second
  *  round may be handed the block the first one dirtied. */
+template <KeyKind Keys = KeyKind::Hashed>
 void
 expectZeroedAcrossReuse(size_t n)
 {
-    HugePageAllocator<uint64_t> alloc;
+    HugePageAllocator<uint64_t, Keys> alloc;
     for (int round = 0; round < 2; ++round) {
         uint64_t *p = alloc.allocate(n);
         ASSERT_NE(p, nullptr);
@@ -114,25 +117,36 @@ expectZeroedAcrossReuse(size_t n)
     }
 }
 
+constexpr size_t kHugePageWords =
+        HugePageAllocator<uint64_t, KeyKind::Hashed>::hugePage / 8;
+
 TEST(ZeroStorage, AllocatorZeroesTheSmallRung)
 {
     expectZeroedAcrossReuse(1);
     expectZeroedAcrossReuse(1000);
     // Just under one huge page: still the calloc rung.
-    expectZeroedAcrossReuse(HugePageAllocator<uint64_t>::hugePage / 8 - 1);
+    expectZeroedAcrossReuse(kHugePageWords - 1);
 }
 
 TEST(ZeroStorage, AllocatorZeroesTheHugePageRung)
 {
-    expectZeroedAcrossReuse(HugePageAllocator<uint64_t>::hugePage / 8);
-    expectZeroedAcrossReuse(HugePageAllocator<uint64_t>::hugePage / 8 * 2 +
-                            3);
+    expectZeroedAcrossReuse(kHugePageWords);
+    expectZeroedAcrossReuse(kHugePageWords * 2 + 3);
+}
+
+/** PC-indexed arrays of 2 MiB and more are mapped with no huge
+ *  pages: the same zero-filled contract, on 4 KiB pages. */
+TEST(ZeroStorage, AllocatorZeroesThePcIndexedRung)
+{
+    expectZeroedAcrossReuse<KeyKind::PcIndexed>(kHugePageWords);
+    expectZeroedAcrossReuse<KeyKind::PcIndexed>(kHugePageWords * 2 + 3);
 }
 
 TEST(ZeroStorage, ResizeOfAZeroInitialisedVectorYieldsValueInitialised)
 {
-    std::vector<StrideEntry, HugePageAllocator<StrideEntry>> small(100);
-    std::vector<StrideEntry, HugePageAllocator<StrideEntry>> large(1 << 17);
+    using Allocator = HugePageAllocator<StrideEntry, KeyKind::PcIndexed>;
+    std::vector<StrideEntry, Allocator> small(100);
+    std::vector<StrideEntry, Allocator> large(1 << 17);
     for (const auto *v : {&small, &large}) {
         for (const StrideEntry &e : *v) {
             ASSERT_EQ(e.last, 0u);
@@ -143,8 +157,9 @@ TEST(ZeroStorage, ResizeOfAZeroInitialisedVectorYieldsValueInitialised)
         }
     }
     // A type that is not opted in is still constructed.
-    std::vector<std::vector<int>, HugePageAllocator<std::vector<int>>> nested(
-            8);
+    std::vector<std::vector<int>,
+                HugePageAllocator<std::vector<int>, KeyKind::Hashed>>
+            nested(8);
     for (const auto &inner : nested)
         EXPECT_TRUE(inner.empty());
 }
@@ -250,7 +265,7 @@ struct Observed
 };
 
 Observed
-drive(BoundedTable<LvEntry> &table, uint64_t seed)
+drive(BoundedTable<LvEntry, KeyKind::PcIndexed> &table, uint64_t seed)
 {
     std::mt19937_64 rng(seed);
     Observed out;
@@ -272,11 +287,11 @@ TEST(ZeroStorage, ClearedTableMatchesAFreshOne)
 {
     for (const Replacement policy :
          {Replacement::Lru, Replacement::Fifo, Replacement::Random}) {
-        for (const size_t ways : {size_t{0}, size_t{4}}) {
+        for (const size_t ways : {size_t{4}, size_t{16}}) {
             const BoundedTableConfig config{
                     .entries = 64, .ways = ways, .replacement = policy};
-            BoundedTable<LvEntry> fresh(config);
-            BoundedTable<LvEntry> cleared(config);
+            BoundedTable<LvEntry, KeyKind::PcIndexed> fresh(config);
+            BoundedTable<LvEntry, KeyKind::PcIndexed> cleared(config);
             drive(cleared, 99);
             cleared.clear();
             const Observed a = drive(fresh, 1);
@@ -309,13 +324,13 @@ TEST(ZeroStorage, SpilledFollowerTablesTearDownClean)
 {
     for (const Replacement policy :
          {Replacement::Lru, Replacement::Fifo, Replacement::Random}) {
-        for (const size_t ways : {size_t{0}, size_t{4}}) {
+        for (const size_t ways : {size_t{4}, size_t{16}}) {
             const BoundedTableConfig config{
                     .entries = 1024, .ways = ways, .replacement = policy};
             const auto label = ::testing::Message()
                                << "policy=" << static_cast<int>(policy)
                                << " ways=" << ways;
-            BoundedTable<FcmFollowers> table(config);
+            BoundedTable<FcmFollowers, KeyKind::Hashed> table(config);
             std::mt19937_64 rng(7);
             const auto fill = [&](uint64_t keys, uint64_t touches) {
                 uint32_t longest = 0;
