@@ -10,7 +10,9 @@
  * resident only the payload pages its entries use, which the
  * way-major payload layout of core::BoundedTable provides. Recency
  * costs such a table at most a byte per slot: an LRU table keeps a
- * rank byte where a 64-bit stamp once stood.
+ * rank byte where a 64-bit stamp once stood. A PC-indexed table stays
+ * on 4 KiB pages, so it makes resident only the pages of the few sets
+ * its PCs use.
  *
  * Linux only: the guard reads VmRSS from /proc/self/status, and on
  * other platforms it is compiled out.

@@ -71,15 +71,19 @@ traces()
 
 /**
  * The paper's predict-then-update protocol over a recorded trace,
- * through the same PredictorBank path the experiment suite uses.
+ * through the same PredictorBank path the experiment suite uses. The
+ * predictor's counters go to @p counters when one is given.
  */
 PredictionStats
-runOver(PredictorPtr pred, const std::vector<vm::TraceEvent> &events)
+runOver(PredictorPtr pred, const std::vector<vm::TraceEvent> &events,
+        CounterSink *counters = nullptr)
 {
     sim::PredictorBank bank;
     bank.add(std::move(pred));
     vm::VectorBatchSource source(events, 1);
     sim::replayTrace(source, bank);
+    if (counters != nullptr)
+        bank.member(0).predictor->collectCounters(*counters);
     return bank.member(0).stats;
 }
 
@@ -127,15 +131,11 @@ PredictionStats
 runAmple(PredictorPtr pred, const std::vector<vm::TraceEvent> &events,
          size_t tables)
 {
-    sim::PredictorBank bank;
-    bank.add(std::move(pred));
-    vm::VectorBatchSource source(events, 1);
-    sim::replayTrace(source, bank);
     EvictionSink sink;
-    bank.member(0).predictor->collectCounters(sink);
+    const PredictionStats stats = runOver(std::move(pred), events, &sink);
     EXPECT_EQ(sink.tables, tables);
     EXPECT_EQ(sink.evictions, 0u);
-    return bank.member(0).stats;
+    return stats;
 }
 
 /** The idealised geometry for @p keys keys: 16 ways and a power-of-two
