@@ -3,14 +3,12 @@
  * `vpd` — the prediction server binary.
  *
  * Serves the vpd wire protocol (src/net/protocol.hh) against a
- * ShardedBankMap of per-(tenant, pc-group) predictor banks.
+ * ShardedBankMap of per-tenant predictor banks.
  *
  * Usage: vpd [options]
  *   --spec S            predictor spec per bank (default fcm3@1024/4096x4)
  *   --stripes N         lock stripes, 1..65536 (default 64, rounded
  *                       to pow2)
- *   --pc-group-bits B   pc bits per bank, 0..64 (default 64 = 1
- *                       bank/tenant)
  *   --port P            TCP port on 127.0.0.1, 0..65535 (default 0 =
  *                       ephemeral)
  *   --unix PATH         listen on a Unix socket instead of TCP
@@ -46,7 +44,7 @@ usage()
 {
     std::fprintf(
             stderr,
-            "usage: vpd [--spec S] [--stripes N] [--pc-group-bits B]\n"
+            "usage: vpd [--spec S] [--stripes N]\n"
             "           [--port P | --unix PATH]\n"
             "           [--stats HOST:PORT | --stats-unix PATH]\n"
             "           [--smoke]\n");
@@ -121,11 +119,6 @@ main(int argc, char **argv)
             if (!n)
                 return usage();
             config.banks.stripes = *n;
-        } else if (arg("--pc-group-bits")) {
-            const auto n = parseUnsigned(argv[++i], 0, 64);
-            if (!n)
-                return usage();
-            config.banks.pcGroupBits = *n;
         } else if (arg("--port")) {
             const auto n = parseUnsigned(argv[++i], 0, 65535);
             if (!n)

@@ -38,7 +38,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <type_traits>
@@ -159,8 +158,7 @@ struct BoundedTableConfig
  * recently touched (LRU) or inserted (FIFO) entry, exactly the way
  * whose age stamp a 64-bit clock would make the smallest. A rank must
  * fit a byte, so a set holds at most 255 ways. The update is one
- * branch-free loop over the set's rank bytes, or for 4-way sets one
- * 32-bit step. Random tables keep no rank array at all.
+ * branch-free loop over the set's rank bytes. Random tables keep no rank array at all.
  *
  * Every array starts out zero-filled and untouched (core/hugepage.hh):
  * an all-zero slot is an empty one, so building a table writes no
@@ -500,23 +498,6 @@ class BoundedTable
         // nothing.
         const unsigned ahead = inserted ? static_cast<unsigned>(ways)
                                         : set[way];
-        if (ways == 4 && std::endian::native == std::endian::little) {
-            // The same update as one 32-bit step, kept for the 4-way
-            // tables of batched serving: against the loop it read 4-7%
-            // more predictions per second (12/20 pairs, unresolved),
-            // and without it traced vpd replay rose above the 64-bit
-            // stamps' quartiles. Ranks are at most 4, so each byte | 0x80 minus ahead
-            // borrows from no neighbour, and its top bit is clear
-            // exactly when the rank is below ahead.
-            uint32_t ranks;
-            std::memcpy(&ranks, set, sizeof ranks);
-            const uint32_t below =
-                    ~((ranks | 0x80808080u) - ahead * 0x01010101u) &
-                    0x80808080u;
-            ranks = (ranks + (below >> 7)) & ~(0xffu << (8 * way));
-            std::memcpy(set, &ranks, sizeof ranks);
-            return;
-        }
         for (size_t w = 0; w < ways; ++w)
             set[w] = static_cast<uint8_t>(set[w] + (set[w] < ahead));
         set[way] = 0;

@@ -30,105 +30,58 @@ ShardedBankMap::lockStripe(Stripe &stripe)
     ++stripe.contentions;   // now guarded by the mutex just taken
 }
 
-ShardedBankMap::TenantBank &
-ShardedBankMap::bankFor(Stripe &stripe, const Key &key)
-{
-    auto it = stripe.banks.find(key);
-    if (it == stripe.banks.end()) {
-        auto bank = std::make_unique<TenantBank>();
-        bank->bank.add(exp::makePredictor(config_.spec));
-        it = stripe.banks.emplace(key, std::move(bank)).first;
-    }
-    return *it->second;
-}
-
 ShardedBankMap::EventOutcome
 ShardedBankMap::applyOne(uint64_t tenant, const vm::TraceEvent &event)
 {
-    const Key key{tenant, groupOf(event.pc)};
-    Stripe &stripe = stripeOf(key);
-    lockStripe(stripe);
-    const util::MutexLock lock(stripe.mutex, std::adopt_lock);
-    TenantBank &tb = bankFor(stripe, key);
-
-    // The per-event protocol on the tenant's single member (a serving
-    // bank enables no trackers): predict, grade, update — the
-    // reference the bank's batch path is pinned to
-    // (batched_equivalence_test).
-    auto &member = tb.bank.member(0);
-    const auto pred = member.predictor->predict(event.pc);
-    const bool correct = pred.valid && pred.value == event.value;
-    member.stats.record(event.cat, pred.valid, correct);
-    member.predictor->update(event.pc, event.value);
-    return {pred.valid, correct};
+    const auto outcome = applyBatch(tenant, vm::TraceSpan(&event, 1));
+    return {outcome.predicted != 0, outcome.correct != 0};
 }
 
 ShardedBankMap::BatchOutcome
 ShardedBankMap::applyBatch(uint64_t tenant, vm::TraceSpan events)
 {
-    BatchOutcome out;
-    out.events = events.size();
-
-    size_t i = 0;
-    while (i < events.size()) {
-        // Contiguous run sharing one pc-group (the whole span at the
-        // default pcGroupBits = 64).
-        size_t j = events.size();
-        uint64_t group = 0;
-        if (config_.pcGroupBits < 64) {
-            group = groupOf(events[i].pc);
-            j = i + 1;
-            while (j < events.size() &&
-                   groupOf(events[j].pc) == group) {
-                ++j;
-            }
-        }
-
-        const Key key{tenant, group};
-        Stripe &stripe = stripeOf(key);
-        lockStripe(stripe);
-        const util::MutexLock lock(stripe.mutex, std::adopt_lock);
-        TenantBank &tb = bankFor(stripe, key);
-
-        const auto &stats = tb.bank.member(0).stats;
-        const uint64_t predicted0 = stats.predicted();
-        const uint64_t correct0 = stats.correct();
-        tb.bank.onBatch(events.subspan(i, j - i));
-        out.predicted += stats.predicted() - predicted0;
-        out.correct += stats.correct() - correct0;
-        i = j;
+    if (events.empty())
+        return {};          // trains nothing, so builds no bank
+    Stripe &stripe = stripes_[stripeOf(tenant)];
+    lockStripe(stripe);
+    const util::MutexLock lock(stripe.mutex, std::adopt_lock);
+    auto it = stripe.banks.find(tenant);
+    if (it == stripe.banks.end()) {
+        sim::PredictorBank bank;
+        bank.add(exp::makePredictor(config_.spec));
+        it = stripe.banks.emplace(tenant, std::move(bank)).first;
     }
-    return out;
+    sim::PredictorBank &bank = it->second;
+
+    const auto &stats = bank.member(0).stats;
+    const uint64_t predicted0 = stats.predicted();
+    const uint64_t correct0 = stats.correct();
+    bank.onBatch(events);
+    return {events.size(), stats.predicted() - predicted0,
+            stats.correct() - correct0};
 }
 
 core::Prediction
 ShardedBankMap::predict(uint64_t tenant, uint64_t pc)
 {
-    const Key key{tenant, groupOf(pc)};
-    Stripe &stripe = stripeOf(key);
+    Stripe &stripe = stripes_[stripeOf(tenant)];
     lockStripe(stripe);
     const util::MutexLock lock(stripe.mutex, std::adopt_lock);
-    TenantBank &tb = bankFor(stripe, key);
-    return tb.bank.member(0).predictor->predict(pc);
+    const auto it = stripe.banks.find(tenant);
+    if (it == stripe.banks.end())
+        return core::Prediction::none();
+    return it->second.member(0).predictor->predict(pc);
 }
 
 std::optional<core::PredictionStats>
 ShardedBankMap::tenantStats(uint64_t tenant) const
 {
-    core::PredictionStats merged;
-    bool found = false;
-    for (const Stripe &stripe : stripes_) {
-        const util::MutexLock lock(stripe.mutex);
-        for (const auto &[key, bank] : stripe.banks) {
-            if (key.tenant != tenant)
-                continue;
-            merged.merge(bank->bank.member(0).stats);
-            found = true;
-        }
-    }
-    if (!found)
+    const Stripe &stripe = stripes_[stripeOf(tenant)];
+    const util::MutexLock lock(stripe.mutex);
+    const auto it = stripe.banks.find(tenant);
+    if (it == stripe.banks.end())
         return std::nullopt;
-    return merged;
+    return it->second.member(0).stats;
 }
 
 size_t

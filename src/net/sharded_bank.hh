@@ -2,12 +2,15 @@
  * @file
  * ShardedBankMap: multi-tenant predictor banks behind striped locks.
  *
- * One vpd server hosts an independent predictor bank per (tenant,
- * pc-group) key, sharded over a power-of-two number of stripes by a
- * mixed hash of the key. Each stripe is a mutex plus a hash map of
- * banks, so concurrent clients serving *different* keys contend only
- * when their keys collide on a stripe — the map scales with stripes,
- * not with a global lock.
+ * One vpd server hosts one independent predictor bank per tenant,
+ * sharded over a power-of-two number of stripes by a mixed hash of
+ * the tenant id. Each stripe is a mutex plus a hash map of banks, so
+ * concurrent clients serving *different* tenants contend only when
+ * their tenants collide on a stripe — the map scales with stripes,
+ * not with a global lock. A tenant's whole stream trains its one
+ * bank, through the bank's one evaluation path (onBatch), which is
+ * what makes server-side stats byte-identical to a serial replay for
+ * every predictor family.
  *
  * Thread-safety contract (the BoundedTable audit): everything inside
  * a bank — BoundedTable probe/touch paths, recency ranks, the
@@ -28,23 +31,12 @@
  * stripe capability, so a `-DVP_THREAD_SAFETY=ON` clang build proves
  * every touch — including the const-looking STATS snapshot walks —
  * happens under the right stripe lock (util/thread_annotations.hh).
- *
- * pc-grouping: with pcGroupBits = 64 (the default) the group is
- * always 0 and a tenant's whole stream trains one bank, which is what
- * makes server-side stats byte-identical to a serial replay for every
- * predictor family. Smaller pcGroupBits split a tenant's PC space
- * into 2^(64-pcGroupBits)-page groups with an independent bank each —
- * more parallelism inside one hot tenant, still byte-identical for
- * per-PC families (l, s2: entries are independent per PC) but not for
- * fcm (the VPT is shared across PCs) or bounded tables (set aliasing
- * changes); sharded_bank_test covers both sides of that line.
  */
 
 #ifndef VP_NET_SHARDED_BANK_HH
 #define VP_NET_SHARDED_BANK_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -72,16 +64,9 @@ struct ShardedBankConfig
 
     /** Lock stripes; rounded up to a power of two, min 1. */
     unsigned stripes = 64;
-
-    /**
-     * PC bits that stay *within* one bank: group = pc >> pcGroupBits.
-     * 64 (default) = one bank per tenant (byte-identity for every
-     * family); smaller values split hot tenants across banks.
-     */
-    unsigned pcGroupBits = 64;
 };
 
-/** splitmix64 finalizer: the stripe/key mixer. */
+/** splitmix64 finalizer: the tenant-to-stripe mixer. */
 constexpr uint64_t
 mix64(uint64_t x)
 {
@@ -112,35 +97,37 @@ class ShardedBankMap
     };
 
     /**
-     * Run the full protocol (predict, grade, update) for one event of
-     * @p tenant's stream.
+     * The full protocol (predict, grade, update) for one event of
+     * @p tenant's stream: applyBatch() over a one-event span.
      */
     EventOutcome applyOne(uint64_t tenant, const vm::TraceEvent &event);
 
     /**
-     * Batched protocol over a span of @p tenant's events, routed
-     * through sim::PredictorBank::onBatch: one virtual evalBatch call
-     * per bank node per batch, each running its family's batch loop.
-     * Events are split into contiguous same-pc-group runs; with the
-     * default pcGroupBits the whole span is one run.
+     * The protocol over a span of @p tenant's events, run by the
+     * tenant's bank in sim::PredictorBank::onBatch: one virtual
+     * evalBatch call per bank node per span, each running its
+     * family's batch loop. The tenant's bank is built on its first
+     * nonempty span.
      */
     BatchOutcome applyBatch(uint64_t tenant, vm::TraceSpan events);
 
     /**
      * Prediction query. Does not grade statistics, but (like the
      * protocol's predict half) may advance recency and confidence
-     * state, so it takes the stripe lock like every other touch.
+     * state, so it takes the stripe lock like every other touch. A
+     * tenant that has no bank yet gets Prediction::none() and still
+     * has none after: a cold bank predicts nothing in any family.
      */
     core::Prediction predict(uint64_t tenant, uint64_t pc);
 
     /**
-     * The tenant's statistics summed over its pc-group banks;
-     * nullopt when the tenant has never been seen.
+     * The statistics of @p tenant's bank, read under its stripe's
+     * lock; nullopt when the tenant has never trained.
      */
     std::optional<core::PredictionStats>
     tenantStats(uint64_t tenant) const;
 
-    /** Banks currently instantiated (all tenants, all groups). */
+    /** Banks currently instantiated: one per tenant that trained. */
     size_t bankCount() const;
 
     /** Times a stripe lock was found contended (try_lock failed). */
@@ -160,54 +147,20 @@ class ShardedBankMap
     void collect(obs::Registry &registry) const;
 
   private:
-    struct Key
-    {
-        uint64_t tenant = 0;
-        uint64_t group = 0;
-
-        friend bool operator==(const Key &, const Key &) = default;
-    };
-
-    struct KeyHash
-    {
-        size_t
-        operator()(const Key &key) const
-        {
-            return static_cast<size_t>(
-                    mix64(key.tenant ^ mix64(key.group)));
-        }
-    };
-
-    /**
-     * One tenant-group bank: a single-member sim::PredictorBank so
-     * the batched path is the very code batched_equivalence_test pins
-     * byte-identical to the scalar protocol.
-     */
-    struct TenantBank
-    {
-        sim::PredictorBank bank;
-    };
-
     struct Stripe
     {
         mutable util::Mutex mutex;
-        std::unordered_map<Key, std::unique_ptr<TenantBank>, KeyHash>
+        /** Tenant id -> its bank, a single-member sim::PredictorBank. */
+        std::unordered_map<uint64_t, sim::PredictorBank>
                 banks VP_GUARDED_BY(mutex);
         uint64_t contentions VP_GUARDED_BY(mutex) = 0;
     };
 
-    uint64_t
-    groupOf(uint64_t pc) const
+    /** Index of the stripe holding @p tenant's bank. */
+    size_t
+    stripeOf(uint64_t tenant) const
     {
-        return config_.pcGroupBits >= 64 ? 0
-                                         : pc >> config_.pcGroupBits;
-    }
-
-    Stripe &
-    stripeOf(const Key &key)
-    {
-        return stripes_[static_cast<size_t>(
-                mix64(key.tenant ^ mix64(key.group)) & stripeMask_)];
+        return static_cast<size_t>(mix64(tenant) & stripeMask_);
     }
 
     /** Lock @p stripe, counting contention. Pair with an adopting
@@ -217,10 +170,6 @@ class ShardedBankMap
      *    const util::MutexLock lock(stripe.mutex, std::adopt_lock);
      *  @endcode */
     static void lockStripe(Stripe &stripe) VP_ACQUIRE(stripe.mutex);
-
-    /** The bank for @p key, created on first touch. */
-    TenantBank &bankFor(Stripe &stripe, const Key &key)
-            VP_REQUIRES(stripe.mutex);
 
     ShardedBankConfig config_;
     std::vector<Stripe> stripes_;

@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for the sharded multi-tenant bank map: per-tenant statistics
- * byte-identical to a serial single-bank replay, under one thread and
- * under 1..8 concurrent client threads; pc-group splitting identity
- * for per-PC predictor families; contention accounting. The TSAN CI
+ * Tests for the sharded multi-tenant bank map, one bank per tenant:
+ * per-tenant statistics byte-identical to a serial single-bank
+ * replay, under one thread and under 1..8 concurrent client threads;
+ * vpd's per-event PREDICT+TRAIN sequence against a standalone
+ * predictor's own predict()/update() loop; PREDICT for an unseen
+ * tenant building no bank; contention accounting. The TSAN CI
  * configuration re-runs the concurrent cases under ThreadSanitizer.
  */
 
@@ -145,7 +147,7 @@ TEST(ShardedBank, ConcurrentTenantsAreByteIdentical)
         SCOPED_TRACE(threads);
         net::ShardedBankConfig config;
         config.spec = "fcm3";
-        config.stripes = 4;     // force key collisions per stripe
+        config.stripes = 4;     // force tenant collisions per stripe
         net::ShardedBankMap map(config);
 
         std::vector<std::vector<TraceEvent>> streams;
@@ -213,25 +215,68 @@ TEST(ShardedBank, MixedScalarBatchConcurrent)
     }
 }
 
-TEST(ShardedBank, PcGroupSplitIdenticalForPerPcFamilies)
+/** Specs covering every family vpd can serve: unbounded per-PC
+ *  tables, unbounded and bounded fcm, a bounded fcm behind a
+ *  confidence gate, and unbounded and fully bounded hybrids. */
+const std::vector<std::string> kServedSpecs = {
+        "l",
+        "s2",
+        "fcm3",
+        "fcm3@1024/4096x4",
+        "fcm3@256/1024x4:c3t6",
+        "hybrid",
+        "hybrid(s2@256x2,fcm3@256/1024x4;ch@512x4)"};
+
+TEST(ShardedBank, PredictThenTrainMatchesTheScalarProtocol)
 {
-    // Splitting a tenant's PC space across banks keeps statistics
-    // identical for per-PC families (each PC's table entry is
-    // independent): run with groups of 2^6 PC bytes vs one bank.
-    const auto events = sampleStream(4000, 21);
-    for (const std::string spec : {"l", "s2"}) {
+    // vpd's per-event call sequence (a PREDICT frame, then a TRAIN
+    // frame) against a standalone predictor driven by its own
+    // predict()/grade/update() loop, reply by reply.
+    const auto events = sampleStream(3000, 51);
+    for (const auto &spec : kServedSpecs) {
         SCOPED_TRACE(spec);
-        net::ShardedBankConfig split;
-        split.spec = spec;
-        split.pcGroupBits = 6;      // pc in [0, 8*64): several groups
-        net::ShardedBankMap map(split);
-        for (size_t i = 0; i < events.size(); i += 64) {
-            const size_t n = std::min<size_t>(64, events.size() - i);
-            map.applyBatch(3, vm::TraceSpan(events.data() + i, n));
+        net::ShardedBankConfig config;
+        config.spec = spec;
+        net::ShardedBankMap map(config);
+        const auto reference = exp::makePredictor(spec);
+        for (size_t i = 0; i < events.size(); ++i) {
+            SCOPED_TRACE(i);
+            const auto &event = events[i];
+
+            const auto served = map.predict(4, event.pc);
+            const auto expected = reference->predict(event.pc);
+            ASSERT_EQ(served.valid, expected.valid);
+            if (expected.valid)
+                ASSERT_EQ(served.value, expected.value);
+
+            const auto outcome = map.applyOne(4, event);
+            const auto pred = reference->predict(event.pc);
+            const bool correct = pred.valid && pred.value == event.value;
+            reference->update(event.pc, event.value);
+            ASSERT_EQ(outcome.predicted, pred.valid);
+            ASSERT_EQ(outcome.correct, correct);
         }
-        EXPECT_GT(map.bankCount(), 1u);
-        EXPECT_EQ(mapTenantStats(map, 3),
-                  serialReference(events, spec));
+    }
+}
+
+TEST(ShardedBank, PredictForAnUnseenTenantBuildsNoBank)
+{
+    for (const auto &spec : kServedSpecs) {
+        SCOPED_TRACE(spec);
+        net::ShardedBankConfig config;
+        config.spec = spec;
+        net::ShardedBankMap map(config);
+        for (const uint64_t pc : {0ull, 64ull, 4096ull}) {
+            // A cold bank predicts nothing, so answering without one
+            // changes no reply.
+            EXPECT_FALSE(exp::makePredictor(spec)->predict(pc).valid);
+            for (uint64_t tenant = 1; tenant <= 100; ++tenant)
+                EXPECT_FALSE(map.predict(tenant, pc).valid);
+        }
+        // An empty BATCH trains nothing and builds no bank either.
+        EXPECT_EQ(map.applyBatch(1, vm::TraceSpan()).events, 0u);
+        EXPECT_EQ(map.bankCount(), 0u);
+        EXPECT_FALSE(map.tenantStats(1).has_value());
     }
 }
 
