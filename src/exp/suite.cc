@@ -276,8 +276,8 @@ replayedOutcome(const isa::Program &prog, const std::string &name,
     }
     try {
         // Stream the file through the batched hot path: bounded
-        // memory (one block in flight) and one virtual dispatch per
-        // (predictor, block) instead of two per event.
+        // memory (one vm::kReplaySpan span in flight) and one virtual
+        // dispatch per (node, span) instead of two per event.
         const auto reader = vm::openTrace(in);
         vm::ReaderBatchSource source(*reader);
         auto span = obs::span(obs, "replay " + name, "replay");

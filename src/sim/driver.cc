@@ -246,23 +246,24 @@ replayTrace(vm::TraceBatchSource &source, PredictorBank &bank,
 namespace {
 
 /**
- * Collects a live run's events and hands them to the bank in spans,
- * so a run on the VM takes the same batched path as trace replay
- * instead of a one-event onBatch() per retired instruction.
+ * Collects a live run's events and hands them to the bank in spans of
+ * vm::kReplaySpan, so a run on the VM takes the same batched path as
+ * trace replay instead of a one-event onBatch() per retired
+ * instruction.
  */
 class BatchingSink : public vm::TraceSink
 {
   public:
     explicit BatchingSink(PredictorBank &bank) : bank_(bank)
     {
-        events_.reserve(kBatch);
+        events_.reserve(vm::kReplaySpan);
     }
 
     void
     onValue(const vm::TraceEvent &event) override
     {
         events_.push_back(event);
-        if (events_.size() == kBatch)
+        if (events_.size() == vm::kReplaySpan)
             flush();
     }
 
@@ -275,8 +276,6 @@ class BatchingSink : public vm::TraceSink
     }
 
   private:
-    static constexpr size_t kBatch = 4096;
-
     PredictorBank &bank_;
     std::vector<vm::TraceEvent> events_;
 };

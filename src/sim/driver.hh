@@ -207,8 +207,8 @@ struct RunOutcome
 /**
  * Run @p prog on a fresh machine and evaluate its value trace in
  * @p bank. The events reach PredictorBank::onBatch in spans of up to
- * 4096, exactly as a replay of the recorded trace would; batch
- * geometry never changes a result.
+ * vm::kReplaySpan, exactly as a replay of the recorded trace would;
+ * batch geometry never changes a result.
  *
  * @throws std::runtime_error if the program does not halt cleanly
  * (workloads are deterministic; anything else is a bug).
@@ -253,11 +253,12 @@ struct WindowSeries
  * Replay a recorded value trace into @p bank — the paper's
  * trace-driven methodology: run the VM once, evaluate many predictor
  * banks against the same stream. Drains @p source span by span
- * through PredictorBank::onBatch, so memory stays bounded by the
- * source's block size regardless of trace length (pair with
- * vm::ReaderBatchSource to stream a trace file, or
- * vm::VectorBatchSource for events already in memory). Returns the
- * number of events replayed.
+ * through PredictorBank::onBatch, so the replay's own memory is
+ * bounded by the source's span regardless of trace length (about
+ * 4 MB for the 72-node confidence bank at vm::kReplaySpan, which
+ * states the cost per event). Pair with vm::ReaderBatchSource to
+ * stream a trace file, or vm::VectorBatchSource for events already in
+ * memory. Returns the number of events replayed.
  *
  * @param obs optional instrumentation: batch-fill histogram and
  *        replay event/batch counters (null = off, zero extra work

@@ -7,6 +7,7 @@
 #define VP_VM_TRACE_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -58,13 +59,30 @@ class TraceSink
 };
 
 /**
+ * Events per span on every trace-replay path: the default of
+ * VectorBatchSource and vm::ReaderBatchSource, and the live-run
+ * buffer of sim::runProgram. A bank evaluates its nodes one after
+ * another over a span, so a long span lets each node's tables stay in
+ * cache across many events before the next node pushes them out.
+ * Results never depend on the span (sim::replayTrace). One replay
+ * costs, per event of the span, 24 B for a file source's buffer, 16 B
+ * for the bank's pc/value arrays and 2 bits per bank node for its
+ * outcome rows: about 4 MB for the 72-node confidence bank.
+ * scripts/span_sweep.py times vpexp over the seven studies: on a
+ * 4 vCPU Xeon (--dry-run --jobs 4, medians of 10 interleaved runs) it
+ * read 2.10 s at 4K spans, 2.00 s at 16K, 1.84 s at 64K and 1.84 s
+ * at 256K, so spans past 64K buy no time.
+ */
+inline constexpr size_t kReplaySpan = 65536;
+
+/**
  * Producer of the value trace in batches.
  *
  * nextBatch() yields consecutive, non-overlapping spans of the trace
  * until an empty span signals the end. The span stays valid only
  * until the next nextBatch() call, which is all batched replay needs:
  * in-memory sources hand out zero-copy views (VectorBatchSource) and
- * file sources refill one block buffer (vm::ReaderBatchSource).
+ * file sources refill one span buffer (vm::ReaderBatchSource).
  */
 class TraceBatchSource
 {
@@ -84,7 +102,7 @@ class VectorBatchSource : public TraceBatchSource
   public:
     /** Spans of at most @p batch events (the last one may be short). */
     explicit VectorBatchSource(const std::vector<TraceEvent> &events,
-                               size_t batch = 64)
+                               size_t batch = kReplaySpan)
         : events_(events), batch_(batch == 0 ? 1 : batch)
     {
     }

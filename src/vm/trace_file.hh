@@ -206,27 +206,30 @@ std::unique_ptr<Vpt2Reader> openTrace(std::istream &in);
 
 /**
  * TraceBatchSource streaming from a Vpt2Reader through one reused
- * block buffer: long traces replay in bounded memory instead of being
- * materialised by readTraceFile.
+ * span buffer: long traces replay in bounded memory instead of being
+ * materialised by readTraceFile. A span may cross the file's
+ * compressed blocks (Vpt2Reader::readBatch fills it from as many as
+ * it takes).
  */
 class ReaderBatchSource : public TraceBatchSource
 {
   public:
-    explicit ReaderBatchSource(Vpt2Reader &reader, size_t batch = 4096)
-        : reader_(reader), block_(batch == 0 ? 1 : batch)
+    explicit ReaderBatchSource(Vpt2Reader &reader,
+                               size_t batch = kReplaySpan)
+        : reader_(reader), buffer_(batch == 0 ? 1 : batch)
     {
     }
 
     TraceSpan
     nextBatch() override
     {
-        const size_t n = reader_.readBatch(block_.data(), block_.size());
-        return TraceSpan(block_.data(), n);
+        const size_t n = reader_.readBatch(buffer_.data(), buffer_.size());
+        return TraceSpan(buffer_.data(), n);
     }
 
   private:
     Vpt2Reader &reader_;
-    std::vector<TraceEvent> block_;
+    std::vector<TraceEvent> buffer_;
 };
 
 /** Convenience: record a whole event vector to a VPT2 file. */

@@ -12,7 +12,8 @@
  * costs such a table at most a byte per slot: an LRU table keeps a
  * rank byte where a 64-bit stamp once stood. A PC-indexed table stays
  * on 4 KiB pages, so it makes resident only the pages of the few sets
- * its PCs use.
+ * its PCs use. And a replay's own scratch grows with its span only as
+ * vm::kReplaySpan documents.
  *
  * Linux only: the guard reads VmRSS from /proc/self/status, and on
  * other platforms it is compiled out.
@@ -29,8 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "exp/confidence.hh"
 #include "exp/suite.hh"
 #include "sim/driver.hh"
+#include "vm/trace_file.hh"
 
 namespace {
 
@@ -180,6 +183,65 @@ TEST(BankRss, PcIndexedTablesStayOnSmallPages)
         EXPECT_LT(grown, 1.0) << spec << " replay made " << grown
                               << " MB resident";
     }
+}
+
+/**
+ * Replays @p events from an in-memory VPT2 file through @p bank in
+ * spans of @p span, the way vpexp streams its trace cache, and returns
+ * the resident growth in MB with the span buffer still alive.
+ */
+double
+fileReplayGrowthMb(sim::PredictorBank &bank, const std::string &file,
+                   size_t span)
+{
+    const double before = residentMb();
+    std::istringstream in(file);
+    const auto reader = vm::openTrace(in);
+    vm::ReaderBatchSource source(*reader, span);
+    sim::replayTrace(source, bank);
+    return residentMb() - before;
+}
+
+/**
+ * What a replay costs beyond its tables at the production span: per
+ * event of the span, 24 B of source buffer, 16 B of pc/value arrays
+ * and 2 bits per node of outcome rows (vm::kReplaySpan), about 4 MB
+ * for the widest registry bank, confidence's 72 nodes. The stream
+ * repeats a few values per PC, so the tables stay small and both
+ * replays grow them alike; the production span may add at most that
+ * cost plus a 2 MiB page of slack over a replay in 4,096-event spans.
+ */
+TEST(BankRss, ProductionSpanCostsOnlyItsDocumentedScratch)
+{
+    std::vector<vm::TraceEvent> events(2 * vm::kReplaySpan + 4321);
+    for (size_t i = 0; i < events.size(); ++i) {
+        const uint64_t pc = i % 64;
+        events[i] = {0x1000 + 4 * pc, isa::Opcode{},
+                     isa::Category::AddSub, pc * 977 + (i / 64) % 4};
+    }
+    std::ostringstream out;
+    vm::Vpt2Writer writer(out);
+    for (const auto &event : events)
+        writer.onValue(event);
+    writer.finish();
+
+    sim::PredictorBank small;
+    exp::addSpecs(small, exp::confidenceSweepSpecs());
+    sim::PredictorBank production;
+    exp::addSpecs(production, exp::confidenceSweepSpecs());
+    ASSERT_EQ(production.nodeCount(), 72u);
+
+    const double small_grown = fileReplayGrowthMb(small, out.str(), 4096);
+    const double production_grown =
+            fileReplayGrowthMb(production, out.str(), vm::kReplaySpan);
+    const double scratch_mb =
+            (vm::kReplaySpan * (24.0 + 16.0) +
+             vm::kReplaySpan * 2.0 * production.nodeCount() / 8) /
+            (1 << 20);
+    EXPECT_LT(production_grown - small_grown, scratch_mb + 2.0)
+            << "replay in spans of " << vm::kReplaySpan << " made "
+            << production_grown << " MB resident, in spans of 4096 "
+            << small_grown << " MB";
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,9 +39,9 @@ using namespace vp;
 using namespace vp::core;
 
 /** The batch geometries the equivalence claim is swept over: single
- *  event, an odd size straddling word boundaries, the replay default,
- *  and one larger than every smoke trace. */
-constexpr size_t kBatchSizes[] = {1, 7, 64, 4096};
+ *  event, an odd size straddling word boundaries, two powers of two
+ *  below the production span, and the production span. */
+constexpr size_t kBatchSizes[] = {1, 7, 64, 4096, vm::kReplaySpan};
 
 /** Streaming replay of an in-memory trace in spans of @p batch. */
 void
@@ -145,6 +146,14 @@ specsUnderTest()
 
 TEST(BatchedEquivalence, EveryFamilyMatchesScalarAtEveryBatchSize)
 {
+    // Some trace must replay as several full production spans and a
+    // short tail: xlisp's smoke trace is about 2.8 spans long.
+    ASSERT_TRUE(std::any_of(
+            traces().begin(), traces().end(), [](const auto &trace) {
+                return trace.events.size() > 2 * vm::kReplaySpan &&
+                       trace.events.size() % vm::kReplaySpan != 0;
+            }));
+
     for (const auto &trace : traces()) {
         SCOPED_TRACE(trace.name);
 

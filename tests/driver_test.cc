@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/fcm.hh"
 #include "core/last_value.hh"
 #include "core/stride.hh"
@@ -133,6 +136,108 @@ TEST(Driver, ThrowsOnNonHaltingProgram)
     sim::PredictorBank bank;
     bank.add(std::make_unique<core::LastValuePredictor>());
     EXPECT_THROW(sim::runProgram(b.build(), bank), std::runtime_error);
+}
+
+/**
+ * A stream longer than two production spans that ends in a short one:
+ * 211 PCs of the paper's four sequence kinds (constant, stride,
+ * repeated non-stride, non-stride), interleaved pseudo-randomly.
+ */
+std::vector<vm::TraceEvent>
+longStream()
+{
+    constexpr uint64_t kPcs = 211;
+    std::vector<vm::TraceEvent> events(2 * vm::kReplaySpan + 12345);
+    std::vector<uint64_t> seen(kPcs, 0);
+    uint64_t state = 1;
+    for (auto &event : events) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const uint64_t pc = (state >> 33) % kPcs;
+        const uint64_t k = seen[pc]++;
+        const uint64_t values[] = {pc, pc + 8 * k, pc + 977 * (k % 5),
+                                   state >> 40};
+        event = {0x1000 + 4 * pc, isa::Opcode{},
+                 static_cast<isa::Category>(pc % isa::numCategories),
+                 values[pc % 4]};
+    }
+    return events;
+}
+
+/** Everything a tracked, windowed replay reports, comparable with ==. */
+struct ReplayState
+{
+    std::vector<uint64_t> windows;      ///< endEvent and member deltas
+    std::vector<uint64_t> stats;        ///< member totals per category
+    std::vector<uint64_t> overlap;      ///< buckets per category
+    std::vector<double> improvement;    ///< curves per category
+    std::vector<double> values;         ///< shares per category
+
+    bool operator==(const ReplayState &) const = default;
+};
+
+ReplayState
+replayInSpans(const std::vector<vm::TraceEvent> &events, size_t span)
+{
+    sim::PredictorBank bank;
+    bank.add(std::make_unique<core::LastValuePredictor>());
+    bank.add(std::make_unique<core::StridePredictor>());
+    bank.add(std::make_unique<core::FcmPredictor>());
+    bank.trackOverlap(3);
+    bank.trackImprovement(2, 1);
+    bank.trackValues();
+    sim::WindowSeries series;
+    series.windowEvents = 5000;
+    vm::VectorBatchSource source(events, span);
+    EXPECT_EQ(sim::replayTrace(source, bank, nullptr, &series),
+              events.size());
+
+    ReplayState state;
+    for (const auto &sample : series.samples) {
+        state.windows.push_back(sample.endEvent);
+        for (const auto &delta : sample.members) {
+            state.windows.insert(state.windows.end(),
+                                 {delta.eligible, delta.predicted,
+                                  delta.correct});
+        }
+    }
+    state.improvement.push_back(
+            static_cast<double>(bank.improvement()->staticCount()));
+    state.values.push_back(
+            static_cast<double>(bank.values()->staticCount()));
+    for (int c = 0; c < isa::numCategories; ++c) {
+        const auto cat = static_cast<isa::Category>(c);
+        for (size_t m = 0; m < bank.size(); ++m) {
+            const auto &stats = bank.member(m).stats;
+            state.stats.insert(state.stats.end(),
+                               {stats.total(cat), stats.predicted(cat),
+                                stats.correct(cat)});
+        }
+        for (uint32_t mask = 0; mask < 8; ++mask)
+            state.overlap.push_back(bank.overlap()->bucket(cat, mask));
+        for (const auto &point : bank.improvement()->curve(cat)) {
+            state.improvement.insert(state.improvement.end(),
+                                     {point.staticPct,
+                                      point.improvementPct});
+        }
+        const auto dist = bank.values()->distribution(cat);
+        state.values.insert(state.values.end(), dist.staticShare.begin(),
+                            dist.staticShare.end());
+        state.values.insert(state.values.end(), dist.dynamicShare.begin(),
+                            dist.dynamicShare.end());
+    }
+    return state;
+}
+
+TEST(Driver, WindowSeriesAndTrackersDoNotDependOnTheSpan)
+{
+    // Windows of 5000 events divide none of the spans, so every span
+    // geometry splits at a different place.
+    const auto events = longStream();
+    const ReplayState one = replayInSpans(events, 1);
+    EXPECT_EQ(one.windows.size(),
+              (events.size() / 5000 + 1) * (1 + 3 * 3));
+    EXPECT_TRUE(replayInSpans(events, 4096) == one);
+    EXPECT_TRUE(replayInSpans(events, vm::kReplaySpan) == one);
 }
 
 // ------------------------------------------------------ TextTable

@@ -143,7 +143,7 @@ TEST(HotpathGuard, InstrumentationStaysOffTheHotPath)
     // boundaries, never pushed per event, so an instrumented replay
     // must produce byte-identical statistics and stay within a loose
     // wall-clock bar of the uninstrumented one (per-span counter work
-    // only — a handful of map lookups per ~4K-event batch).
+    // only — a handful of map lookups per span).
     workloads::WorkloadConfig config;
     config.scale = 5;
     std::vector<vm::TraceEvent> events;

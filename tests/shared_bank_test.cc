@@ -35,7 +35,9 @@ namespace {
 
 using namespace vp;
 
-constexpr size_t kBatchSizes[] = {1, 7, 64, 4096};
+/** Down to single events, and up to the production span, which the
+ *  xlisp smoke trace fills twice before a short tail. */
+constexpr size_t kBatchSizes[] = {1, 7, 64, 4096, vm::kReplaySpan};
 
 /** The confidence sweep plus the sharing shapes it does not reach. */
 std::vector<std::string>
@@ -150,9 +152,9 @@ TEST_P(SharedBank, MatchesOneIndependentBankPerSpec)
     const auto specs = sharedSpecs();
 
     // The reference: every spec alone in its own bank, nothing shared.
-    // Replayed once, at the largest batch size: its statistics and
+    // Replayed once, at the production span: its statistics and
     // tables do not depend on batch geometry (batched_equivalence_test).
-    constexpr size_t kReferenceBatch = 4096;
+    constexpr size_t kReferenceBatch = vm::kReplaySpan;
     std::vector<sim::PredictorBank> independent(specs.size());
     for (size_t s = 0; s < specs.size(); ++s) {
         independent[s].add(exp::makePredictor(specs[s]));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/mutex.hh"
+#include "vm/trace.hh"
 
 namespace fixture {
 
@@ -51,6 +52,15 @@ class Clean
     {
         const vp::util::MutexLock lock(mutex_);
         ++touches_;
+    }
+
+    void
+    replay(const std::vector<vp::vm::TraceEvent> &events, size_t span)
+    {
+        // Spans come from the one constant or from a variable.
+        vp::vm::VectorBatchSource whole(events);
+        vp::vm::VectorBatchSource named(events, vp::vm::kReplaySpan);
+        vp::vm::VectorBatchSource chosen(events, span);
     }
 
   private:
