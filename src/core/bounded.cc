@@ -362,10 +362,15 @@ BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
 {
     // The batched win is twofold. First, eliminating repeated work:
     // the scalar predict()/update() pair probes the VHT twice and
-    // scans the VPT twice per event, while this loop pays one VHT
-    // touch and — in the steady-state common case where the top-order
-    // context hits under lazy exclusion — exactly one VPT probe,
-    // re-touched in place via the slot the match scan returned.
+    // scans the VPT twice per event, then probes it again for every
+    // order it trains, while this loop pays one VHT touch and one
+    // longest-first VPT scan whose probes training reuses. An order
+    // the scan matched at the top is re-touched in place via the slot
+    // it returned (the steady-state common case under lazy exclusion:
+    // one VPT probe per event), and an order the scan missed is
+    // inserted into the set its probe already found, so no VPT
+    // context is probed twice in one event except in the few cases
+    // the VPT stage names.
     // Second, a two-stage software pipeline: the VHT stage of event i
     // touches the VHT, computes the top-order context key, snapshots
     // the pre-slide history and issues the VPT-set prefetch; the VPT
@@ -375,7 +380,9 @@ BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
     // happens in event order, and so does every VPT operation, so the
     // observable state is byte-identical to the scalar interleaving
     // (the scan reads the snapshot, which is exactly the history the
-    // scalar scan would have seen).
+    // scalar scan would have seen). Only the VPT's probe telemetry
+    // (probes, probe_depth, aliased_peeks) differs from the scalar
+    // protocol's, which probes more.
     const int min_order = config_.fcm.blending == FcmBlending::None
                                   ? config_.fcm.order
                                   : 0;
@@ -431,7 +438,12 @@ BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
         // PC's state between the scalar predict() and update() scans,
         // so they always agree). Keys are remembered down to where the
         // scan stopped; Full blending recomputes the rest on demand.
+        // An order whose peek found no entry at all (an exact table
+        // miss, not a found entry without followers) also keeps the
+        // first slot of its set, for training to insert into.
+        constexpr size_t kFound = SIZE_MAX;
         uint64_t keys[maxOrder + 1] = {};
+        size_t missBase[maxOrder + 1] = {};
         int match = -1;
         int scanned = max_order + 1;
         size_t matchSlot = 0;
@@ -440,11 +452,13 @@ BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
             keys[j] = j == max_order ? st.topKey
                                      : contextKey(pc, j, st.pre);
             scanned = j;
-            const FcmFollowers *followers =
-                    vpt_.peekSlot(keys[j], matchSlot);
+            size_t slot = 0;
+            const FcmFollowers *followers = vpt_.peekSlot(keys[j], slot);
+            missBase[j] = followers == nullptr ? slot : kFound;
             if (followers != nullptr && !followers->cells.empty()) {
                 match = j;
                 matched = followers;
+                matchSlot = slot;
                 break;
             }
         }
@@ -475,6 +489,36 @@ BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
         }
 
         ++seq_;
+        const auto train = [&](FcmFollowers &followers, bool aliased) {
+            if (aliased) {
+                // What the foreign context would have predicted,
+                // before this training bump pollutes it.
+                const auto *best = followers.best();
+                vpt_.noteAliasOutcome(best != nullptr &&
+                                      best->value == values[i]);
+            }
+            followers.bump(values[i], seq_, config_.fcm.counterMax,
+                           config_.maxFollowers);
+        };
+
+        // Whether order j's scan miss still holds when training
+        // reaches it, so it can be inserted without a probe. Training
+        // runs from the top order down, so every order above j is
+        // already trained, and each was a scan miss or a found entry
+        // without followers. An earlier insert into j's set can turn
+        // j's key into a hit (with partial tags, an aliased one), so
+        // j is probed again when an order above it landed in its set,
+        // or in a set the scan did not keep.
+        const auto stillMissed = [&](int j) {
+            if (j < scanned || missBase[j] == kFound)
+                return false;
+            for (int k = j + 1; k <= max_order; ++k) {
+                if (missBase[k] == kFound || missBase[k] == missBase[j])
+                    return false;
+            }
+            return true;
+        };
+
         if (match == max_order && lowest == max_order &&
             matched != nullptr) {
             // Steady-state fast path: the only order to train is the
@@ -483,32 +527,22 @@ BoundedFcmPredictor::evalBatch(const uint64_t *pcs,
             // of probing its set again.
             bool vpt_aliased = false;
             FcmFollowers &followers =
-                    vpt_.touchAt(matchSlot, keys[max_order],
-                                 &vpt_aliased);
-            if (vpt_aliased) {
-                const auto *best = followers.best();
-                vpt_.noteAliasOutcome(best != nullptr &&
-                                      best->value == values[i]);
+                    vpt_.touchAt(matchSlot, keys[max_order], &vpt_aliased);
+            train(followers, vpt_aliased);
+            return;
+        }
+        for (int j = max_order; j >= lowest; --j) {
+            if (stillMissed(j)) {
+                train(vpt_.insertMiss(missBase[j], keys[j]), false);
+                continue;
             }
-            followers.bump(values[i], seq_, config_.fcm.counterMax,
-                           config_.maxFollowers);
-        } else {
-            for (int j = max_order; j >= lowest; --j) {
-                const uint64_t key = j >= scanned
-                        ? keys[j]
-                        : contextKey(pc, j, st.pre);
-                bool vpt_inserted = false;
-                bool vpt_aliased = false;
-                FcmFollowers &followers =
-                        vpt_.touch(key, vpt_inserted, &vpt_aliased);
-                if (vpt_aliased) {
-                    const auto *best = followers.best();
-                    vpt_.noteAliasOutcome(best != nullptr &&
-                                          best->value == values[i]);
-                }
-                followers.bump(values[i], seq_, config_.fcm.counterMax,
-                               config_.maxFollowers);
-            }
+            const uint64_t key =
+                    j >= scanned ? keys[j] : contextKey(pc, j, st.pre);
+            bool vpt_inserted = false;
+            bool vpt_aliased = false;
+            FcmFollowers &followers =
+                    vpt_.touch(key, vpt_inserted, &vpt_aliased);
+            train(followers, vpt_aliased);
         }
     };
 

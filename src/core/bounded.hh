@@ -179,11 +179,13 @@ class BoundedFcmPredictor : public ValuePredictor
 
     /**
      * Batch loop: one VHT touch and one VPT context scan per event
-     * (the scalar pair pays a VHT peek + touch and two scans), and in
-     * the steady-state case the matched VPT slot is re-touched in
-     * place rather than probed a second time for training. Identical
-     * observable state; only the aliasedPeeks() diagnostics diverge
-     * because duplicate peeks are elided.
+     * (the scalar pair pays a VHT peek + touch and two scans), and
+     * training reuses the scan's probes: in the steady-state case the
+     * matched VPT slot is re-touched in place, and an order the scan
+     * missed is inserted into the set its peek found, without a
+     * second probe. Identical observable state; only the probe
+     * telemetry (probes, probe depths, aliasedPeeks()) diverges
+     * because duplicate probes are elided.
      */
     void evalBatch(const uint64_t *pcs, const uint64_t *values,
                    size_t n, uint64_t *valid,

@@ -143,6 +143,11 @@ struct BoundedTableConfig
  * widths a scalar byte loop. Because
  * the byte derives from the stored tag, equal tags always share it,
  * and partial-tag aliasing is exactly that of a full tag compare.
+ * Every probe counts once in the probes/probe-depth telemetry. A
+ * caller that peeks and then trains the same key probes its set once:
+ * peekSlot() reports the slot it hit, which touchAt() re-touches, or
+ * on a miss the set's first slot, into which insertMiss() inserts
+ * without a second probe (and so without a second count).
  * prefetch() issues a software prefetch of a key's set (its keys,
  * control bytes and way-0 payload), which batched replay uses to
  * overlap the next events' table misses with the current event's
@@ -153,12 +158,16 @@ struct BoundedTableConfig
  * set always hold a permutation of 0..live-1. LRU tables rank every
  * touch and FIFO tables only inserts: a touch at rank r moves ahead of
  * the ways ranked before it (each such rank grows by one) and takes
- * rank 0, and an insert moves ahead of every live way. The victim of
- * a full set is its way of the largest rank, ways - 1: the least
- * recently touched (LRU) or inserted (FIFO) entry, exactly the way
- * whose age stamp a 64-bit clock would make the smallest. A rank must
- * fit a byte, so a set holds at most 255 ways. The update is one
- * branch-free loop over the set's rank bytes. Random tables keep no rank array at all.
+ * rank 0, and an insert moves ahead of every live way. A full set's
+ * ranks are therefore a permutation of 0..ways-1, and its victim is
+ * the one way ranked ways - 1: the least recently touched (LRU) or
+ * inserted (FIFO) entry, exactly the way whose age stamp a 64-bit
+ * clock would make the smallest. It is found like an empty way, by
+ * comparing the set's rank bytes with ways - 1 (16 at a time in
+ * grouped sets), not by a scan for the largest rank. A rank must fit
+ * a byte, so a set holds at most 255 ways. The update is one
+ * branch-free loop over the set's rank bytes. Random tables keep no
+ * rank array at all and draw their victim from a seeded xorshift.
  *
  * Every array starts out zero-filled and untouched (core/hugepage.hh):
  * an all-zero slot is an empty one, so building a table writes no
@@ -323,11 +332,11 @@ class BoundedTable
     }
 
     /**
-     * peek() that also reports the matched slot index, so a caller
-     * that goes on to train the same key can re-touch the slot via
-     * touchAt() instead of paying a second full probe. Identical
-     * observable behaviour (including alias accounting) to peek();
-     * @p slot is only meaningful when the return value is non-null.
+     * peek() that also reports where it looked, so a caller that goes
+     * on to train the same key need not probe its set again. On a hit
+     * @p slot is the matched slot, for touchAt(); on a miss it is the
+     * first slot of the key's set, for insertMiss(). Identical
+     * observable behaviour (including alias accounting) to peek().
      */
     const Entry *
     peekSlot(uint64_t key, size_t &slot) const
@@ -336,8 +345,10 @@ class BoundedTable
         const size_t base = set * config_.ways;
         const int w = hitWay(base, key);
         noteProbe(probedWays(w));
-        if (w < 0)
+        if (w < 0) {
+            slot = base;
             return nullptr;
+        }
         const size_t s = base + static_cast<size_t>(w);
         if (keys_[s] != key)
             ++aliasedPeeks_;
@@ -415,20 +426,37 @@ class BoundedTable
     Entry &
     touch(uint64_t key, bool &inserted, bool *aliased = nullptr)
     {
-        const size_t s = touchSet(key, inserted);
-        if (refreshes(inserted))
-            refresh(s, inserted);
+        // Hit detection first, touching only the key/control arrays:
+        // a hit loads the set's ranks only to refresh them.
+        const size_t base = setOf(key) * config_.ways;
+        const int hit = hitWay(base, key);
+        noteProbe(probedWays(hit));
+        inserted = hit < 0;
+        if (inserted)
+            return insertMiss(base, key);
+        return touchAt(base + static_cast<size_t>(hit), key, aliased);
+    }
+
+    /**
+     * The insert half of touch(): insert @p key into the set whose
+     * first slot is @p base, taking its first empty way, or evicting
+     * the victim of a full set. The precondition mirrors touchAt():
+     * a peekSlot() of @p key just missed and reported @p base, and no
+     * touch has landed in that set since, so touch(key) would miss
+     * too. The two are then interchangeable, except that this counts
+     * no probe: the peek already counted the one the miss needed.
+     * Returns the fresh, cold Entry{}.
+     */
+    Entry &
+    insertMiss(size_t base, uint64_t key)
+    {
+        const size_t s = insertSlot(base);
+        if (refreshes(true))
+            refresh(s, true);
         Entry &entry = entries_[payloadOf(s)];
-        if (inserted) {
-            entry = Entry{};
-            keys_[s] = key;
-            ctrl_[s] = controlOf(tagOf(key));
-        } else if (keys_[s] != key) {
-            ++aliasedTouches_;
-            keys_[s] = key;
-            if (aliased != nullptr)
-                *aliased = true;
-        }
+        entry = Entry{};
+        keys_[s] = key;
+        ctrl_[s] = controlOf(tagOf(key));
         return entry;
     }
 
@@ -616,46 +644,47 @@ class BoundedTable
         return rng_;
     }
 
-    /** Find-or-victimise in @p key's set; returns the slot index. */
+    /** The first slot of the set at @p base whose byte in @p bytes
+     *  (ctrl_ or ranks_) equals @p byte, or SIZE_MAX. */
     size_t
-    touchSet(uint64_t key, bool &inserted)
+    firstByte(const uint8_t *bytes, size_t base, uint8_t byte) const
     {
-        // Hit detection first, touching only the key/control arrays:
-        // the hit itself never loads the set's ranks (the victim scan
-        // below and the recency update do).
-        const size_t base = setOf(key) * config_.ways;
-        const int hit = hitWay(base, key);
-        noteProbe(probedWays(hit));
-        if (hit >= 0) {
-            inserted = false;
-            return base + static_cast<size_t>(hit);
-        }
-        inserted = true;
         if (grouped()) {
             for (size_t g = 0; g < config_.ways; g += 16) {
-                const unsigned empty = matchGroup(&ctrl_[base + g], 0);
-                if (empty != 0) {
-                    ++live_;
+                const unsigned m = matchGroup(bytes + base + g, byte);
+                if (m != 0)
                     return base + g +
-                           static_cast<size_t>(std::countr_zero(empty));
-                }
+                           static_cast<size_t>(std::countr_zero(m));
             }
+            return SIZE_MAX;
         }
-        const bool random = config_.replacement == Replacement::Random;
-        size_t oldest = base;
         for (size_t w = 0; w < config_.ways; ++w) {
-            const size_t s = base + w;
-            if (ctrl_[s] == 0) {
-                ++live_;
-                return s;
-            }
-            if (!random && ranks_[s] > ranks_[oldest])
-                oldest = s;
+            if (bytes[base + w] == byte)
+                return base + w;
+        }
+        return SIZE_MAX;
+    }
+
+    /**
+     * The slot an insert into the set at @p base takes: its first
+     * empty way, else the victim of the full set. The victim of an
+     * LRU or FIFO set is its way ranked ways - 1, which exists because
+     * a full set's ranks are a permutation of 0..ways-1 (see the class
+     * comment); a random table draws it.
+     */
+    size_t
+    insertSlot(size_t base)
+    {
+        const size_t empty = firstByte(ctrl_.data(), base, 0);
+        if (empty != SIZE_MAX) {
+            ++live_;
+            return empty;
         }
         ++evictions_;
-        if (random)
+        if (config_.replacement == Replacement::Random)
             return base + nextRandom() % config_.ways;
-        return oldest;
+        return firstByte(ranks_.data(), base,
+                         static_cast<uint8_t>(config_.ways - 1));
     }
 
     /** Backing store for the flat slot arrays, paged as the key kind
@@ -687,7 +716,7 @@ class BoundedTable
     // Structure-of-arrays slot storage (see the class comment): the
     // probe loop reads ctrl_ and the keys_ it selects; entries_ is
     // touched on hits and victims, ranks_ on refreshing touches and
-    // victim scans. All but entries_ are set-major.
+    // victim lookups. All but entries_ are set-major.
     Array<uint64_t> keys_;
     Array<uint8_t> ranks_;      ///< recency (set-assoc LRU/FIFO only)
     Array<uint8_t> ctrl_;                   ///< 0 = empty (see class doc)

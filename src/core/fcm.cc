@@ -26,59 +26,6 @@ FcmPredictor::FcmPredictor(FcmConfig config) : config_(config)
         throw std::invalid_argument("fcm order must be non-negative");
 }
 
-void
-FcmFollowers::bump(uint64_t value, uint64_t seq, uint32_t counter_max,
-                   uint32_t max_followers)
-{
-    for (auto &cell : cells) {
-        if (cell.value == value) {
-            ++cell.count;
-            cell.seq = seq;
-            // Halve when a count would exceed (not reach) the
-            // ceiling: counts can then saturate at counter_max
-            // exactly, as a counter_max-wide hardware counter would,
-            // and the just-bumped cell (now >= 2) always survives
-            // the pruning — even with counter_max == 1.
-            if (counter_max != 0 && cell.count > counter_max) {
-                // Text-compression style rescaling: halve everything,
-                // weighting recent behaviour more heavily.
-                for (auto &c : cells)
-                    c.count /= 2;
-                cells.eraseIf(
-                        [](const Cell &c) { return c.count == 0; });
-            }
-            return;
-        }
-    }
-    if (max_followers != 0 && cells.size() >= max_followers) {
-        // Follower list is at its capacity budget: replace the
-        // weakest cell (lowest count, ties to the least recent).
-        auto victim = cells.begin();
-        for (auto it = cells.begin() + 1; it != cells.end(); ++it) {
-            if (it->count < victim->count ||
-                (it->count == victim->count && it->seq < victim->seq)) {
-                victim = it;
-            }
-        }
-        *victim = Cell{value, 1, seq};
-        return;
-    }
-    cells.push_back(Cell{value, 1, seq});
-}
-
-const FcmFollowers::Cell *
-FcmFollowers::best() const
-{
-    const Cell *best = nullptr;
-    for (const auto &cell : cells) {
-        if (best == nullptr || cell.count > best->count ||
-            (cell.count == best->count && cell.seq > best->seq)) {
-            best = &cell;
-        }
-    }
-    return best;
-}
-
 namespace {
 
 /** Home slot of @p value in an index of @p mask + 1 slots. */

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,6 +101,55 @@ traces()
     return cached;
 }
 
+/** A predictor's counters by name (a distribution's by name and
+ *  value), less the probe telemetry (probes, probe depths, aliased
+ *  peeks), which the batch path lowers by eliding probes. */
+std::map<std::string, uint64_t>
+observableCounters(const ValuePredictor &pred)
+{
+    struct MapSink : CounterSink
+    {
+        std::map<std::string, uint64_t> values;
+
+        static bool
+        probeTelemetry(const std::string &name)
+        {
+            for (const char *tail : {"probes", "probe_depth",
+                                     "aliased_peeks"}) {
+                const std::string t = tail;
+                if (name.size() >= t.size() &&
+                    name.compare(name.size() - t.size(), t.size(), t) == 0)
+                    return true;
+            }
+            return false;
+        }
+
+        void
+        counter(const std::string &name, uint64_t value) override
+        {
+            if (!probeTelemetry(name))
+                values[name] += value;
+        }
+
+        void
+        gauge(const std::string &name, uint64_t value) override
+        {
+            if (!probeTelemetry(name))
+                values[name] = std::max(values[name], value);
+        }
+
+        void
+        distribution(const std::string &name, uint64_t value,
+                     uint64_t count) override
+        {
+            if (!probeTelemetry(name))
+                values[name + "[" + std::to_string(value) + "]"] += count;
+        }
+    } sink;
+    pred.collectCounters(sink);
+    return sink.values;
+}
+
 void
 expectIdenticalStats(const PredictionStats &batched,
                      const PredictionStats &scalar)
@@ -133,6 +183,14 @@ specsUnderTest()
         // Bounded, across associativity / replacement / partial tags.
         "l@64x2", "l@32x4r", "s2@64x4f", "s2@32x32", "l@64x2%8",
         "fcm2@64/256x4", "fcm2@32/128x2%10",
+        // 16-way bounded fcm, the studies' geometry: grouped control
+        // byte probes and last-ranked victims. A VPT of 3, 8 or 12
+        // sets puts several orders of one event in one set, so the
+        // batch loop's carried scan misses meet inserts of the same
+        // event there (with 4-bit tags, turning a miss into an
+        // aliased hit); Full blending also trains orders below the
+        // scan.
+        "fcm3@16/48x16%4", "fcm2-full@32/128x16f", "fcm3@64/192x16r",
         // Confidence-gated, unbounded and bounded inners.
         "fcm3:c2t2", "l@64x2:c1t1d",
         // Hybrids: legacy unbounded, fully bounded with a bounded
@@ -175,6 +233,9 @@ TEST(BatchedEquivalence, EveryFamilyMatchesScalarAtEveryBatchSize)
                                      scalar_stats);
                 EXPECT_EQ(batched.member(0).predictor->tableEntries(),
                           scalar->tableEntries());
+                // Evictions, occupancy and touch-side aliasing too.
+                EXPECT_EQ(observableCounters(*batched.member(0).predictor),
+                          observableCounters(*scalar));
             }
         }
     }

@@ -14,11 +14,15 @@
  * (groups of 16 control bytes), 3 and 12 ways — under full and
  * partial tags and every
  * replacement policy, plus sets whose live keys all share one control
- * byte. They train both through touch() and through a peekSlot() then
- * touchAt() of the slot it found, so the rank update (the byte loop
- * and the 4-way 32-bit step) meets the stamp model's victims at every
- * width. A 255-way set, the widest a rank byte can order, runs the
- * loop at its bounds.
+ * byte. They train through touch(), through a peekSlot() then
+ * touchAt() of the slot it found, and through a peekSlot() miss then
+ * insertMiss() into the set it reported, so the rank update and the
+ * last-ranked victim meet the stamp model's victims at every width.
+ * The carried misses also come in pairs, as the fcm batch loop trains
+ * two orders of one event: the second key is probed again when the
+ * first one's training landed in its set, where with partial tags the
+ * first insert can turn the second key into an aliased hit. A 255-way
+ * set, the widest a rank byte can order, runs the loop at its bounds.
  *
  * A second test fills tables of heap-spilling FcmFollowers payloads
  * under insert and evict churn, on power-of-two and other way and set
@@ -98,6 +102,16 @@ class ScanModel
             ++telemetry.aliasedTouches;
             keys_[slot] = key;
         }
+    }
+
+    /** Take back the probe of a whole-set miss: a carried insert
+     *  counts none, as its peek already counted the miss. */
+    void
+    uncountMiss()
+    {
+        --telemetry.probes;
+        --telemetry.probeDepth[std::min(config_.ways,
+                                        BoundedTableTelemetry::maxDepth)];
     }
 
     uint64_t &value(size_t slot) { return values_[slot]; }
@@ -233,33 +247,89 @@ class Differential
         expectSameCounters();
     }
 
-    /** A peekSlot(), then on a hit a touchAt() of the slot it found
-     *  (on a miss, a touch()), as the fcm fast path trains. */
+    /**
+     * A peekSlot(), then on a hit a touchAt() of the slot it found, as
+     * the fcm fast path trains. On a miss, an insertMiss() into the set
+     * the peek reported when @p carried, as the fcm loop trains a
+     * carried scan miss; otherwise a touch().
+     */
     void
-    retouch(uint64_t key, uint64_t stamp)
+    retouch(uint64_t key, uint64_t stamp, bool carried)
     {
         size_t slot = SIZE_MAX;
-        const uint64_t *found = table_.peekSlot(key, slot);
+        const bool hit = table_.peekSlot(key, slot) != nullptr;
         const size_t want = model_.peek(key);
-        ASSERT_EQ(found != nullptr, want != SIZE_MAX) << "key " << key;
-        if (found == nullptr) {
+        ASSERT_EQ(hit, want != SIZE_MAX) << "key " << key;
+        if (hit || carried)
+            train(key, slot, want, stamp);
+        else
             touch(key, stamp);
+    }
+
+    /**
+     * Two carried keys as two orders of one event train them: both
+     * are peeked first, then trained in order. The second key's miss
+     * is carried only when the first key's training landed in another
+     * set; otherwise it is probed again with touch().
+     */
+    void
+    carryPair(uint64_t first, uint64_t second, uint64_t stamp)
+    {
+        size_t slots[2] = {SIZE_MAX, SIZE_MAX};
+        const bool hits[2] = {
+                table_.peekSlot(first, slots[0]) != nullptr,
+                table_.peekSlot(second, slots[1]) != nullptr};
+        const size_t wants[2] = {model_.peek(first), model_.peek(second)};
+        ASSERT_EQ(hits[0], wants[0] != SIZE_MAX) << "key " << first;
+        ASSERT_EQ(hits[1], wants[1] != SIZE_MAX) << "key " << second;
+        const size_t ways = table_.config().ways;
+        train(first, slots[0], wants[0], stamp);
+        if (::testing::Test::HasFatalFailure())
             return;
-        }
-        ASSERT_EQ(slot, want) << "key " << key;
-        bool aliased = false, want_aliased = false;
-        uint64_t &entry = table_.touchAt(slot, key, &aliased);
-        model_.touchAt(want, key, want_aliased);
-        EXPECT_EQ(aliased, want_aliased) << "key " << key;
-        EXPECT_EQ(entry, model_.value(want)) << "key " << key;
-        entry = stamp;
-        model_.value(want) = stamp;
-        expectSameCounters();
+        if (slots[0] / ways == slots[1] / ways)
+            touch(second, stamp);
+        else
+            train(second, slots[1], wants[1], stamp);
     }
 
     const BoundedTableTelemetry &model() const { return model_.telemetry; }
 
   private:
+    /**
+     * Train @p key after its peekSlot() reported @p slot and the
+     * model's peek the slot @p peeked (SIZE_MAX on a miss): on a hit a
+     * touchAt() of both, else an insertMiss() against the model's
+     * touch(), less the probe the insert does not count.
+     */
+    void
+    train(uint64_t key, size_t slot, size_t peeked, uint64_t stamp)
+    {
+        bool aliased = false, want_aliased = false;
+        size_t want = peeked;
+        uint64_t *entry = nullptr;
+        if (peeked != SIZE_MAX) {
+            ASSERT_EQ(slot, peeked) << "key " << key;
+            entry = &table_.touchAt(slot, key, &aliased);
+            model_.touchAt(want, key, want_aliased);
+        } else {
+            entry = &table_.insertMiss(slot, key);
+            bool want_inserted = false;
+            want = model_.touch(key, want_inserted, want_aliased);
+            ASSERT_TRUE(want_inserted) << "key " << key;
+            model_.uncountMiss();
+        }
+        EXPECT_EQ(aliased, want_aliased) << "key " << key;
+        EXPECT_EQ(*entry, model_.value(want)) << "key " << key;
+        *entry = stamp;
+        model_.value(want) = stamp;
+        // Where the key landed, as touch() checks it.
+        size_t landed = SIZE_MAX;
+        EXPECT_NE(table_.peekSlot(key, landed), nullptr) << "key " << key;
+        EXPECT_EQ(landed, want) << "key " << key;
+        EXPECT_EQ(model_.peek(key), want) << "key " << key;
+        expectSameCounters();
+    }
+
     void
     expectSameCounters() const
     {
@@ -308,11 +378,17 @@ TEST(BoundedTable, ControlByteProbeMatchesTheScan)
                     return k % 2 == 0 ? k : k * 0x9e3779b97f4a7c15ull;
                 };
                 for (uint64_t step = 0; step < 3000; ++step) {
-                    const uint64_t op = rng() % 8;
+                    const uint64_t op = rng() % 10;
                     if (op < 2)
                         run.peek(draw());
                     else if (op < 4)
-                        run.retouch(draw(), step);
+                        run.retouch(draw(), step, false);
+                    else if (op < 5)
+                        run.retouch(draw(), step, true);
+                    else if (op < 6) {
+                        const uint64_t first = draw();
+                        run.carryPair(first, draw(), step);
+                    }
                     else
                         run.touch(draw(), step);
                     if (::testing::Test::HasFatalFailure())
@@ -348,8 +424,15 @@ TEST(BoundedTable, RankBytesOrderAtMost255Ways)
         std::mt19937_64 rng(255 + static_cast<uint64_t>(policy));
         for (uint64_t step = 0; step < 3000; ++step) {
             const uint64_t key = rng() % 320;
-            if (rng() % 2 == 0)
-                run.retouch(key, step);
+            const uint64_t op = rng() % 4;
+            if (op == 0)
+                run.retouch(key, step, false);
+            else if (op == 1)
+                run.retouch(key, step, true);
+            else if (op == 2) {
+                const uint64_t second = rng() % 320;
+                run.carryPair(key, second, step);
+            }
             else
                 run.touch(key, step);
             if (::testing::Test::HasFatalFailure())
@@ -407,8 +490,11 @@ TEST(BoundedTable, KeysSharingAControlByteResolveByTag)
                 std::mt19937_64 rng(ways + tag_bits);
                 for (uint64_t step = 0; step < 4000; ++step) {
                     const uint64_t key = keys[rng() % keys.size()];
-                    if (rng() % 3 == 0)
+                    const uint64_t op = rng() % 3;
+                    if (op == 0)
                         run.peek(key);
+                    else if (op == 1)
+                        run.retouch(key, step, true);
                     else
                         run.touch(key, step);
                     if (::testing::Test::HasFatalFailure())

@@ -207,6 +207,86 @@ class BenchdiffTest(unittest.TestCase):
             self.assertNotIn("WORSE", done.stdout)
             self.assertNotIn("ok (", done.stdout)
 
+    def test_results_mode_names_moved_counters_and_members(self):
+        def cell(workload, wall, probes, correct=(5, 7), window=3):
+            return {"id": 0, "workload": workload, "input": "ref",
+                    "flags": "ref", "scale": 5, "wallMs": wall,
+                    "predictors": [
+                        {"spec": "l", "eligible": 10, "predicted": 9,
+                         "correct": correct[0]},
+                        {"spec": "fcm3@16/48x16", "eligible": 10,
+                         "predicted": 8, "correct": correct[1]}],
+                    "counters": {
+                        "counters": {"fcm.vpt.probes": probes,
+                                     "fcm.vpt.evictions": 4},
+                        "gauges": {"fcm.vpt.occupancy": 48},
+                        "histograms": {"fcm.vpt.probe_depth": {
+                            "count": probes, "sum": 2 * probes}}},
+                    "windows": {"samples": [{"endEvent": 8, "members": [
+                        {"eligible": 8, "predicted": 7, "correct": window},
+                        {"eligible": 8, "predicted": 6,
+                         "correct": 4}]}]}}
+
+        def doc(*cells):
+            return {"wallMs": sum(c["wallMs"] for c in cells),
+                    "cells": list(cells)}
+
+        a = doc(cell("gcc", 100.0, 50), cell("go", 40.0, 20))
+        # Cells are matched by trace and members, not by position.
+        b = doc(cell("go", 40.0, 20), cell("gcc", 80.0, 30))
+        comparison = benchdiff.compare_results(a, b)
+        self.assertTrue(comparison["ok"])
+        gcc, go = comparison["cells"]
+        self.assertAlmostEqual(gcc["ratio"], 0.8)
+        self.assertEqual(gcc["counters"],
+                         ["fcm.vpt.probe_depth", "fcm.vpt.probes"])
+        self.assertEqual((go["counters"], go["members"]), ([], []))
+        text = benchdiff.format_results(comparison)
+        self.assertIn("wallMs 100.0 -> 80.0 (0.800x)", text)
+        self.assertIn("fcm.vpt.probes (1 cells)", text)
+        self.assertNotIn("fcm.vpt.evictions", text)
+
+        # A member's totals, or one window of them, differ: exit 1.
+        for changed in (cell("gcc", 80.0, 50, correct=(5, 6)),
+                        cell("gcc", 80.0, 50, window=2)):
+            comparison = benchdiff.compare_results(
+                    a, doc(changed, cell("go", 40.0, 20)))
+            self.assertFalse(comparison["ok"])
+            self.assertEqual(len(comparison["cells"][0]["members"]), 1)
+        self.assertIn("fcm3@16/48x16 correct 7 -> 6",
+                      benchdiff.format_results(benchdiff.compare_results(
+                          a, doc(cell("gcc", 80.0, 50, correct=(5, 6)),
+                                 cell("go", 40.0, 20)))))
+        # A cell on one side only.
+        self.assertFalse(benchdiff.compare_results(
+                a, doc(cell("gcc", 80.0, 30)))["ok"])
+        self.assertFalse(benchdiff.compare_results(
+                doc(cell("gcc", 80.0, 30)), a)["ok"])
+
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("a", "b", "c")]
+            for path, document in zip(paths, (
+                    a, b, doc(cell("gcc", 80.0, 50, correct=(4, 7)),
+                              cell("go", 40.0, 20)))):
+                with open(path, "w") as f:
+                    json.dump(document, f)
+            done = subprocess.run(
+                [sys.executable, TOOL, "--results", paths[0], paths[1]],
+                capture_output=True, text=True)
+            self.assertEqual(done.returncode, 0, done.stderr)
+            self.assertIn("members identical", done.stdout)
+            done = subprocess.run(
+                [sys.executable, TOOL, "--results", paths[0], paths[2]],
+                capture_output=True, text=True)
+            self.assertEqual(done.returncode, 1)
+            self.assertIn("member differs: l correct 5 -> 4",
+                          done.stdout)
+            done = subprocess.run(
+                [sys.executable, TOOL, "--results", paths[0],
+                 os.path.join(tmp, "absent")],
+                capture_output=True, text=True)
+            self.assertEqual(done.returncode, 2)
+
     def test_usage_errors_exit_2(self):
         done = subprocess.run([sys.executable, TOOL],
                               capture_output=True, text=True)
