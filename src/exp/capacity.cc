@@ -1,7 +1,5 @@
 #include "exp/capacity.hh"
 
-#include "exp/experiment.hh"
-
 namespace vp::exp {
 
 const std::vector<std::string> &
@@ -61,39 +59,23 @@ capacitySweepSpecs()
 }
 
 size_t
-CapacitySweep::specIndex(size_t family_index, size_t budget_index)
+capacitySpecIndex(size_t family_index, size_t budget_index)
 {
-    const size_t stride = 1 + capacitySweepPoints().size();
-    return family_index * stride + 1 + budget_index;
+    return capacityUnboundedIndex(family_index) + 1 + budget_index;
 }
 
 size_t
-CapacitySweep::unboundedIndex(size_t family_index)
+capacityUnboundedIndex(size_t family_index)
 {
-    const size_t stride = 1 + capacitySweepPoints().size();
-    return family_index * stride;
+    return family_index * (1 + capacitySweepPoints().size());
 }
 
 SuiteOptions
-capacitySweepOptions(SuiteOptions base_options)
+capacitySweepOptions()
 {
-    base_options.predictors = capacitySweepSpecs();
-    base_options.overlap = 0;
-    base_options.improvementA = base_options.improvementB = 0;
-    base_options.values = false;
-    return base_options;
-}
-
-CapacitySweep
-runCapacitySweep(const SuiteOptions &base_options)
-{
-    // One cell per workload on the shared worker pool.
-    ExperimentConfig config;
-    config.traceCacheDir = base_options.traceCacheDir;
-    CellScheduler scheduler(config);
-    CapacitySweep sweep;
-    sweep.runs = scheduler.suite(capacitySweepOptions(base_options));
-    return sweep;
+    SuiteOptions options;
+    options.predictors = capacitySweepSpecs();
+    return options;
 }
 
 } // namespace vp::exp

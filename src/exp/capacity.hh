@@ -10,9 +10,8 @@
  * trace pass per workload, and the report shows accuracy converging
  * toward the idealised numbers as capacity grows.
  *
- * Shared between the registered `capacity` experiment (the vpexp
- * report) and the convergence assertions in
- * tests/bounded_equivalence_test.cc.
+ * The registered `capacity` experiment reports the sweep; the
+ * convergence bar is asserted in tests/bounded_equivalence_test.cc.
  */
 
 #ifndef VP_EXP_CAPACITY_HH
@@ -55,29 +54,19 @@ std::string boundedSpecFor(const std::string &base, size_t entries,
 std::vector<std::string> capacitySweepSpecs();
 
 /**
- * Accuracy surface from one suite run over capacitySweepSpecs().
- *
- * Index predictors as runs[w].predictors[specIndex(...)]: specs are
- * laid out family-major, unbounded first, then the budgets in
+ * Index of @p family_index at budget capacitySweepPoints()[@p
+ * budget_index] in a capacitySweepSpecs() bank: specs are laid out
+ * family-major, unbounded first, then the budgets in
  * capacitySweepPoints() order.
  */
-struct CapacitySweep
-{
-    std::vector<BenchmarkRun> runs;
+size_t capacitySpecIndex(size_t family_index, size_t budget_index);
 
-    /** Index of @p family at budget capacitySweepPoints()[budget]. */
-    static size_t specIndex(size_t family_index, size_t budget_index);
-    static size_t unboundedIndex(size_t family_index);
-};
+/** Index of @p family_index's unbounded spec in the same bank. */
+size_t capacityUnboundedIndex(size_t family_index);
 
-/** The suite options of every sweep cell: every spec from
- *  capacitySweepSpecs() banked, trackers off. Shared between
- *  runCapacitySweep and the registry's cell-scheduled experiments. */
-SuiteOptions capacitySweepOptions(SuiteOptions base_options);
-
-/** Run the whole sweep (one pass per workload, all specs banked),
- *  one CellScheduler cell per workload. */
-CapacitySweep runCapacitySweep(const SuiteOptions &base_options);
+/** The suite options of every sweep cell (one per workload): every
+ *  spec from capacitySweepSpecs() banked, trackers off. */
+SuiteOptions capacitySweepOptions();
 
 } // namespace vp::exp
 

@@ -1,7 +1,5 @@
 #include "exp/confidence.hh"
 
-#include "exp/experiment.hh"
-
 namespace vp::exp {
 
 const std::vector<std::string> &
@@ -63,39 +61,23 @@ confidenceSweepSpecs()
 }
 
 size_t
-ConfidenceSweep::specIndex(size_t family_index, size_t point_index)
+confidenceSpecIndex(size_t family_index, size_t point_index)
 {
-    const size_t stride = 1 + confidenceSweepPoints().size();
-    return family_index * stride + 1 + point_index;
+    return confidenceUngatedIndex(family_index) + 1 + point_index;
 }
 
 size_t
-ConfidenceSweep::ungatedIndex(size_t family_index)
+confidenceUngatedIndex(size_t family_index)
 {
-    const size_t stride = 1 + confidenceSweepPoints().size();
-    return family_index * stride;
+    return family_index * (1 + confidenceSweepPoints().size());
 }
 
 SuiteOptions
-confidenceSweepOptions(SuiteOptions base_options)
+confidenceSweepOptions()
 {
-    base_options.predictors = confidenceSweepSpecs();
-    base_options.overlap = 0;
-    base_options.improvementA = base_options.improvementB = 0;
-    base_options.values = false;
-    return base_options;
-}
-
-ConfidenceSweep
-runConfidenceSweep(const SuiteOptions &base_options)
-{
-    // One cell per workload on the shared worker pool.
-    ExperimentConfig config;
-    config.traceCacheDir = base_options.traceCacheDir;
-    CellScheduler scheduler(config);
-    ConfidenceSweep sweep;
-    sweep.runs = scheduler.suite(confidenceSweepOptions(base_options));
-    return sweep;
+    SuiteOptions options;
+    options.predictors = confidenceSweepSpecs();
+    return options;
 }
 
 namespace {

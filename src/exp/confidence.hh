@@ -10,8 +10,8 @@
  * width x threshold grid, and scores each point with the
  * speculation-profit proxy at several misprediction costs.
  *
- * Shared between the registered `confidence` experiment (the vpexp
- * report) and the monotone-trade-off / profit assertions in
+ * The registered `confidence` experiment reports the sweep; the
+ * monotone trade-off and the profit bar are asserted in
  * tests/confidence_test.cc.
  */
 
@@ -52,28 +52,19 @@ std::string confidenceSpecFor(const std::string &base,
 std::vector<std::string> confidenceSweepSpecs();
 
 /**
- * Gated-stats surface from one suite run over confidenceSweepSpecs().
- *
- * Index predictors as runs[w].predictors[specIndex(...)]: specs are
- * laid out family-major, ungated first, then the grid points in
+ * Index of @p family_index at grid point confidenceSweepPoints()[@p
+ * point_index] in a confidenceSweepSpecs() bank: specs are laid out
+ * family-major, ungated first, then the grid points in
  * confidenceSweepPoints() order.
  */
-struct ConfidenceSweep
-{
-    std::vector<BenchmarkRun> runs;
+size_t confidenceSpecIndex(size_t family_index, size_t point_index);
 
-    static size_t specIndex(size_t family_index, size_t point_index);
-    static size_t ungatedIndex(size_t family_index);
-};
+/** Index of @p family_index's ungated spec in the same bank. */
+size_t confidenceUngatedIndex(size_t family_index);
 
-/** The suite options of every sweep cell: every spec from
- *  confidenceSweepSpecs() banked, trackers off. Shared between
- *  runConfidenceSweep and the registry's cell-scheduled experiments. */
-SuiteOptions confidenceSweepOptions(SuiteOptions base_options);
-
-/** Run the whole sweep (one pass per workload, all specs banked),
- *  one CellScheduler cell per workload. */
-ConfidenceSweep runConfidenceSweep(const SuiteOptions &base_options);
+/** The suite options of every sweep cell (one per workload): every
+ *  spec from confidenceSweepSpecs() banked, trackers off. */
+SuiteOptions confidenceSweepOptions();
 
 /** Mean coverage / accuracy-when-predicted / profit over the runs
  *  for predictor @p index (the paper's equal-weight averaging). */

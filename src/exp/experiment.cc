@@ -1,11 +1,13 @@
 #include "exp/experiment.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/instrumentation.hh"
+#include "obs/trace_log.hh"
 #include "workloads/workload.hh"
 
 namespace vp::exp {
@@ -337,19 +339,47 @@ CellScheduler::progress() const
     return progress;
 }
 
-std::vector<BenchmarkRun>
-ExperimentContext::suite(const SuiteOptions &options)
+void
+prefetchGrid(const Experiment &experiment, CellScheduler &scheduler)
 {
-    std::vector<size_t> ids;
-    auto runs = scheduler_.suite(options, &ids);
-    for (const size_t id : ids) {
-        bool seen = false;
-        for (const size_t used : cellsUsed_)
-            seen = seen || used == id;
-        if (!seen)
-            cellsUsed_.push_back(id);
+    if (!experiment.grid)
+        return;
+    for (const auto &suite : experiment.grid(scheduler.config()))
+        scheduler.prefetch(suite);
+}
+
+ExperimentOutcome
+runExperiment(const Experiment &experiment, CellScheduler &scheduler)
+{
+    using Clock = std::chrono::steady_clock;
+    ExperimentOutcome outcome;
+    outcome.experiment = &experiment;
+    const auto start = Clock::now();
+    try {
+        auto span = obs::TraceLog::span(scheduler.config().traceLog,
+                                        "report " + experiment.name,
+                                        "report");
+        GridRuns cells;
+        if (experiment.grid) {
+            for (const auto &suite : experiment.grid(scheduler.config())) {
+                std::vector<size_t> ids;
+                cells.push_back(scheduler.suite(suite, &ids));
+                for (const size_t id : ids) {
+                    if (std::find(outcome.cells.begin(), outcome.cells.end(),
+                                  id) == outcome.cells.end())
+                        outcome.cells.push_back(id);
+                }
+            }
+        }
+        experiment.run(cells, outcome.report);
+    } catch (const std::exception &e) {
+        outcome.ok = false;
+        outcome.error = e.what();
     }
-    return runs;
+    outcome.wallMs = std::chrono::duration<double, std::milli>(
+                             Clock::now() - start)
+                             .count();
+    return outcome;
 }
 
 void

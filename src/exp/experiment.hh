@@ -4,12 +4,14 @@
  * table/figure/study reproduced from the paper, and the cell-level
  * scheduler that runs them.
  *
- * An Experiment is a registration, not a binary: a name, a
- * declarative grid of (predictor-spec x workload x config) cells, and
- * a reduce/report hook that turns resolved cells into a Report
- * (exp/report.hh). The single `vpexp` driver (bench/vpexp.cc) replaces
- * the 22 per-figure bench binaries; adding a new study is ~20 lines
- * in src/exp/experiments/.
+ * An Experiment is a registration: a name, a declarative grid of
+ * (predictor-spec x workload x config) cells, and a reduce/report
+ * hook that turns the grid's resolved runs into a Report
+ * (exp/report.hh). The grid is the only place an experiment names its
+ * cells; runExperiment() resolves it and hands the runs to the hook,
+ * which never sees the scheduler. The `vpexp` driver
+ * (bench/vpexp.cc) runs any selection of them; adding a new study is
+ * ~20 lines in src/exp/experiments/.
  *
  * Scheduling is per *cell* — one (workload, predictor-bank) run:
  *
@@ -20,8 +22,7 @@
  *    (SuiteOptions::traceReplay), so distinct banks over the same
  *    workload pay for VM execution once per process;
  *  - a fixed worker pool (--jobs) crunches the prefetched grid of
- *    every selected experiment at once, so a multi-experiment run is
- *    never slower than running the legacy binaries serially;
+ *    every selected experiment at once;
  *  - a free worker picks the queued cell expected to take longest,
  *    from costs the run itself measured, so the heavy cells do not
  *    queue up at the end and the workers finish together.
@@ -54,10 +55,10 @@ class TraceLog;
 
 namespace vp::exp {
 
-/** Run-wide settings every cell and hook sees. */
+/** Run-wide settings every cell and grid sees. */
 struct ExperimentConfig
 {
-    /** Shrink every workload to smoke scale (the legacy --dry-run). */
+    /** Shrink every workload to smoke scale (`vpexp --dry-run`). */
     bool dryRun = false;
 
     /**
@@ -99,7 +100,7 @@ SuiteOptions normalizeCellOptions(SuiteOptions options,
 /**
  * The cell-level worker pool shared by every experiment in a run.
  *
- * Thread-safe: hooks may request suites from any thread; each unique
+ * Thread-safe: suites may be requested from any thread; each unique
  * cell runs exactly once and its result is shared. Exceptions from a
  * cell (unknown workload, unbuildable predictor spec) rethrow from
  * every suite() that requested it, first failing workload in request
@@ -198,6 +199,9 @@ class CellScheduler
 
     unsigned workers() const { return workers_; }
 
+    /** The run-wide settings every cell of this scheduler sees. */
+    const ExperimentConfig &config() const { return config_; }
+
     /** Cells requested via prefetch/suite, dedup hits included. */
     size_t requestedCells() const;
 
@@ -262,35 +266,10 @@ class CellScheduler
 };
 
 /**
- * What an experiment's run hook sees: the shared scheduler, the run
- * configuration, and the Report it fills in.
+ * The resolved runs of an experiment's grid: cells[i] holds the runs
+ * of grid(config)[i], one per workload in that suite's order.
  */
-class ExperimentContext
-{
-  public:
-    ExperimentContext(const ExperimentConfig &config,
-                      CellScheduler &scheduler)
-        : config_(config), scheduler_(scheduler)
-    {
-    }
-
-    const ExperimentConfig &config() const { return config_; }
-    bool dryRun() const { return config_.dryRun; }
-
-    /** Cell-scheduled suite run (see CellScheduler::suite). */
-    std::vector<BenchmarkRun> suite(const SuiteOptions &options);
-
-    Report &report() { return report_; }
-
-    /** Unique-cell ids this context consumed, first-use order. */
-    const std::vector<size_t> &cellsUsed() const { return cellsUsed_; }
-
-  private:
-    const ExperimentConfig &config_;
-    CellScheduler &scheduler_;
-    Report report_;
-    std::vector<size_t> cellsUsed_;
-};
+using GridRuns = std::vector<std::vector<BenchmarkRun>>;
 
 /** One registered experiment. */
 struct Experiment
@@ -305,18 +284,52 @@ struct Experiment
     std::string description;
 
     /**
-     * The declarative cell grid: every suite the run hook will
-     * request, so the driver can prefetch all cells of all selected
-     * experiments before any hook blocks on a result. Experiments
-     * with no workload cells (synthetic-sequence studies) leave it
-     * null or return {}.
+     * The declarative cell grid, the one place the experiment names
+     * its cells: every suite its report reads, in the order the run
+     * hook indexes them. `vpexp` prefetches the grids of all
+     * selected experiments before it resolves any. Experiments with
+     * no workload cells (synthetic-sequence studies) leave it null.
      */
     std::function<std::vector<SuiteOptions>(const ExperimentConfig &)>
             grid;
 
-    /** Reduce/report hook: consume resolved cells, fill the report. */
-    std::function<void(ExperimentContext &)> run;
+    /**
+     * Reduce/report hook: a pure function of the resolved grid
+     * (GridRuns; empty when grid is null) that fills the report.
+     */
+    std::function<void(const GridRuns &cells, Report &report)> run;
 };
+
+/** Everything the writers need about one finished experiment. */
+struct ExperimentOutcome
+{
+    const Experiment *experiment = nullptr;
+    Report report;
+
+    /** Unique-cell ids the grid resolved to, first-use order. */
+    std::vector<size_t> cells;
+
+    /** Wall time of resolving the grid plus the run hook. */
+    double wallMs = 0.0;
+    bool ok = true;
+
+    /** What the failure threw, when !ok. */
+    std::string error;
+};
+
+/** Queue every cell of @p experiment's grid on @p scheduler without
+ *  waiting for results. */
+void prefetchGrid(const Experiment &experiment, CellScheduler &scheduler);
+
+/**
+ * Resolve @p experiment's grid on @p scheduler (in grid order) and run
+ * its hook over the runs. A failure — an unknown workload, an
+ * unbuildable spec, a throwing hook — is caught into the outcome
+ * (ok == false, error = its what()); the scheduler stays usable for
+ * the next experiment.
+ */
+ExperimentOutcome runExperiment(const Experiment &experiment,
+                                CellScheduler &scheduler);
 
 /** Name-keyed experiment collection, registration order preserved. */
 class ExperimentRegistry

@@ -34,11 +34,10 @@ figure3Options()
 }
 
 void
-runFigure3(ExperimentContext &ctx)
+runFigure3(const GridRuns &cells, Report &report)
 {
     const auto options = figure3Options();
-    const auto runs = ctx.suite(options);
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     auto &table = report.table("accuracy");
     table.row().cell("benchmark");
@@ -87,12 +86,11 @@ runFigure3(ExperimentContext &ctx)
 // ---------------------------------------------------------------------
 
 void
-runCategoryFigure(ExperimentContext &ctx, isa::Category cat,
-                  const char *paper_note)
+runCategoryFigure(const GridRuns &cells, Report &report,
+                  isa::Category cat, const char *paper_note)
 {
     const auto options = figure3Options();
-    const auto runs = ctx.suite(options);
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     auto &table = report.table("accuracy");
     table.row().cell("benchmark");
@@ -131,8 +129,8 @@ categoryFigure(const std::string &name, int figure_number,
         [](const ExperimentConfig &) {
             return std::vector<SuiteOptions>{figure3Options()};
         },
-        [cat, paper_note](ExperimentContext &ctx) {
-            runCategoryFigure(ctx, cat, paper_note);
+        [cat, paper_note](const GridRuns &cells, Report &report) {
+            runCategoryFigure(cells, report, cat, paper_note);
         },
     };
 }
@@ -153,12 +151,11 @@ figure8Options()
 }
 
 void
-runFigure8(ExperimentContext &ctx)
+runFigure8(const GridRuns &cells, Report &report)
 {
     static const char *bucket_names[8] = {"np", "l",  "s",  "ls",
                                           "f",  "lf", "sf", "lsf"};
-    const auto runs = ctx.suite(figure8Options());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     core::OverlapTracker all(3);
     for (const auto &run : runs)
@@ -241,10 +238,9 @@ curveValueAt(
 }
 
 void
-runFigure9(ExperimentContext &ctx)
+runFigure9(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(figure9Options());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     report.text("rows: % of static instructions (sorted by "
                 "improvement); cells: % of total improvement");
@@ -290,10 +286,9 @@ figure10Options()
 }
 
 void
-runFigure10(ExperimentContext &ctx)
+runFigure10(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(figure10Options());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     // The paper aggregates over the whole suite; average the
     // per-benchmark distributions (arithmetic mean, as everywhere).
@@ -386,18 +381,17 @@ figure11Options(int order)
 }
 
 void
-runFigure11(ExperimentContext &ctx)
+runFigure11(const GridRuns &cells, Report &report)
 {
-    auto &report = ctx.report();
     auto &table = report.table("order_sensitivity");
     table.row().cell("order").cell("accuracy %").cell("gain")
          .cell("| paper %").rule();
 
     double previous = 0.0;
     std::vector<double> gains;
-    for (int order = 1; order <= 8; ++order) {
-        const auto runs = ctx.suite(figure11Options(order));
-        const double acc = runs.front().accuracyPct(0);
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const int order = static_cast<int>(i) + 1;     // grid order
+        const double acc = cells[i].front().accuracyPct(0);
 
         table.row().cell(order);
         table.cell(acc, 1);

@@ -69,9 +69,8 @@ fmtLd(int64_t lt, double ld)
 }
 
 void
-runTable1(ExperimentContext &ctx)
+runTable1(const GridRuns &, Report &report)
 {
-    auto &report = ctx.report();
     report.textf("(last value; two-delta stride; pure order-%d fcm; "
                  "repeating period p = %zu)",
                  table1FcmOrder, table1Period);
@@ -166,9 +165,8 @@ appendTrace(Report &report, const char *label,
 }
 
 void
-runFigure2(ExperimentContext &ctx)
+runFigure2(const GridRuns &, Report &report)
 {
-    auto &report = ctx.report();
     const size_t period = 4;
     const auto seq = repeatedStrideSeq(1, 1, period, 16);
 

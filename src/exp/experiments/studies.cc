@@ -41,10 +41,9 @@ hybridOptions()
 }
 
 void
-runHybrid(ExperimentContext &ctx)
+runHybrid(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(hybridOptions());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     auto &table = report.table("accuracy");
     table.row().cell("benchmark").cell("s2").cell("fcm3")
@@ -91,11 +90,10 @@ blendingOptions()
 }
 
 void
-runAblationBlending(ExperimentContext &ctx)
+runAblationBlending(const GridRuns &cells, Report &report)
 {
     const auto options = blendingOptions();
-    const auto runs = ctx.suite(options);
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     report.text("fcm3 = lazy exclusion + exact counts (the paper's "
                 "configuration)");
@@ -138,11 +136,10 @@ hysteresisOptions()
 }
 
 void
-runAblationHysteresis(ExperimentContext &ctx)
+runAblationHysteresis(const GridRuns &cells, Report &report)
 {
     const auto options = hysteresisOptions();
-    const auto runs = ctx.suite(options);
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     auto &table = report.table("accuracy");
     table.row().cell("benchmark");
@@ -176,19 +173,17 @@ runAblationHysteresis(ExperimentContext &ctx)
 // ---------------------------------------------------------------------
 
 void
-runCapacity(ExperimentContext &ctx)
+runCapacity(const GridRuns &cells, Report &report)
 {
-    CapacitySweep sweep;
-    sweep.runs = ctx.suite(capacitySweepOptions({}));
+    const auto &runs = cells.front();
     const auto &families = capacityFamilies();
     const auto &points = capacitySweepPoints();
-    auto &report = ctx.report();
 
     report.text("(16-way LRU; fcm splits its budget 1:3 between VHT "
                 "and VPT, 4 followers per entry)");
     report.text("");
 
-    for (const auto &run : sweep.runs) {
+    for (const auto &run : runs) {
         report.text(run.name);
         auto &table = report.table("accuracy_" + run.name);
         auto &header = table.row().cell("entries");
@@ -199,15 +194,11 @@ runCapacity(ExperimentContext &ctx)
             auto &row = table.row().cell(
                     static_cast<uint64_t>(points[p]));
             for (size_t f = 0; f < families.size(); ++f)
-                row.cell(run.accuracyPct(
-                                 CapacitySweep::specIndex(f, p)),
-                         2);
+                row.cell(run.accuracyPct(capacitySpecIndex(f, p)), 2);
         }
         auto &last = table.row().cell("unbounded");
         for (size_t f = 0; f < families.size(); ++f)
-            last.cell(run.accuracyPct(
-                              CapacitySweep::unboundedIndex(f)),
-                      2);
+            last.cell(run.accuracyPct(capacityUnboundedIndex(f)), 2);
     }
 
     report.text("Suite mean (paper averaging rule)");
@@ -219,25 +210,21 @@ runCapacity(ExperimentContext &ctx)
     for (size_t p = 0; p < points.size(); ++p) {
         auto &row = mean.row().cell(static_cast<uint64_t>(points[p]));
         for (size_t f = 0; f < families.size(); ++f)
-            row.cell(meanAccuracyPct(sweep.runs,
-                                     CapacitySweep::specIndex(f, p)),
-                     2);
+            row.cell(meanAccuracyPct(runs, capacitySpecIndex(f, p)), 2);
     }
     auto &last = mean.row().cell("unbounded");
     for (size_t f = 0; f < families.size(); ++f)
-        last.cell(meanAccuracyPct(sweep.runs,
-                                  CapacitySweep::unboundedIndex(f)),
-                  2);
+        last.cell(meanAccuracyPct(runs, capacityUnboundedIndex(f)), 2);
 
     report.text("shape check: largest budget within 0.1pp of "
                 "unbounded per workload");
     bool converged = true;
-    for (const auto &run : sweep.runs) {
+    for (const auto &run : runs) {
         for (size_t f = 0; f < families.size(); ++f) {
             const double bounded = run.accuracyPct(
-                    CapacitySweep::specIndex(f, points.size() - 1));
-            const double unbounded = run.accuracyPct(
-                    CapacitySweep::unboundedIndex(f));
+                    capacitySpecIndex(f, points.size() - 1));
+            const double unbounded =
+                    run.accuracyPct(capacityUnboundedIndex(f));
             const double gap = unbounded - bounded;
             if (gap > 0.1 || gap < -0.1) {
                 report.textf("  WARNING: %s/%s gap %.3fpp at %zu "
@@ -270,20 +257,18 @@ pointLabel(const ConfidencePoint &point)
 }
 
 void
-runConfidence(ExperimentContext &ctx)
+runConfidence(const GridRuns &cells, Report &report)
 {
-    ConfidenceSweep sweep;
-    sweep.runs = ctx.suite(confidenceSweepOptions({}));
+    const auto &runs = cells.front();
     const auto &families = confidenceFamilies();
     const auto &points = confidenceSweepPoints();
-    auto &report = ctx.report();
 
     report.text("(cWtT = width W bits, predict at counter >= T, reset "
                 "on miss; cov = %\nof eligible events predicted, acc "
                 "= % correct of those)");
     report.text("");
 
-    for (const auto &run : sweep.runs) {
+    for (const auto &run : runs) {
         report.text(run.name);
         auto &table = report.table("gates_" + run.name);
         auto &header = table.row().cell("gate");
@@ -295,9 +280,7 @@ runConfidence(ExperimentContext &ctx)
         auto &ungated = table.row().cell("none");
         for (size_t f = 0; f < families.size(); ++f) {
             const auto &stats =
-                    run.predictors
-                            .at(ConfidenceSweep::ungatedIndex(f))
-                            .second;
+                    run.predictors.at(confidenceUngatedIndex(f)).second;
             ungated.cell(100.0 * stats.coverage(), 1);
             ungated.cell(100.0 * stats.accuracyWhenPredicted(), 1);
         }
@@ -305,9 +288,7 @@ runConfidence(ExperimentContext &ctx)
             auto &row = table.row().cell(pointLabel(points[p]));
             for (size_t f = 0; f < families.size(); ++f) {
                 const auto &stats =
-                        run.predictors
-                                .at(ConfidenceSweep::specIndex(f, p))
-                                .second;
+                        run.predictors.at(confidenceSpecIndex(f, p)).second;
                 row.cell(100.0 * stats.coverage(), 1);
                 row.cell(100.0 * stats.accuracyWhenPredicted(), 1);
             }
@@ -324,18 +305,16 @@ runConfidence(ExperimentContext &ctx)
     mean.rule();
     auto &ungated = mean.row().cell("none");
     for (size_t f = 0; f < families.size(); ++f) {
-        const size_t index = ConfidenceSweep::ungatedIndex(f);
-        ungated.cell(meanCoveragePct(sweep.runs, index), 1);
-        ungated.cell(meanAccuracyWhenPredictedPct(sweep.runs, index),
-                     1);
+        const size_t index = confidenceUngatedIndex(f);
+        ungated.cell(meanCoveragePct(runs, index), 1);
+        ungated.cell(meanAccuracyWhenPredictedPct(runs, index), 1);
     }
     for (size_t p = 0; p < points.size(); ++p) {
         auto &row = mean.row().cell(pointLabel(points[p]));
         for (size_t f = 0; f < families.size(); ++f) {
-            const size_t index = ConfidenceSweep::specIndex(f, p);
-            row.cell(meanCoveragePct(sweep.runs, index), 1);
-            row.cell(meanAccuracyWhenPredictedPct(sweep.runs, index),
-                     1);
+            const size_t index = confidenceSpecIndex(f, p);
+            row.cell(meanCoveragePct(runs, index), 1);
+            row.cell(meanAccuracyWhenPredictedPct(runs, index), 1);
         }
     }
 
@@ -352,16 +331,12 @@ runConfidence(ExperimentContext &ctx)
         profit.rule();
         auto &pu = profit.row().cell("none");
         for (size_t f = 0; f < families.size(); ++f) {
-            pu.cell(meanProfit(sweep.runs,
-                               ConfidenceSweep::ungatedIndex(f), cost),
-                    3);
+            pu.cell(meanProfit(runs, confidenceUngatedIndex(f), cost), 3);
         }
         for (size_t p = 0; p < points.size(); ++p) {
             auto &row = profit.row().cell(pointLabel(points[p]));
             for (size_t f = 0; f < families.size(); ++f) {
-                row.cell(meanProfit(sweep.runs,
-                                    ConfidenceSweep::specIndex(f, p),
-                                    cost),
+                row.cell(meanProfit(runs, confidenceSpecIndex(f, p), cost),
                          3);
             }
         }
@@ -376,14 +351,13 @@ runConfidence(ExperimentContext &ctx)
     }
     bool all_beat = true;
     for (const double cost : speculationCosts()) {
-        const double base = meanProfit(
-                sweep.runs, ConfidenceSweep::ungatedIndex(fcm3), cost);
+        const double base =
+                meanProfit(runs, confidenceUngatedIndex(fcm3), cost);
         double best = base;
         std::string best_label = "none";
         for (size_t p = 0; p < points.size(); ++p) {
-            const double gated = meanProfit(
-                    sweep.runs, ConfidenceSweep::specIndex(fcm3, p),
-                    cost);
+            const double gated =
+                    meanProfit(runs, confidenceSpecIndex(fcm3, p), cost);
             if (gated > best) {
                 best = gated;
                 best_label = pointLabel(points[p]);
@@ -460,21 +434,19 @@ replacementOptions()
 }
 
 void
-runReplacement(ExperimentContext &ctx)
+runReplacement(const GridRuns &cells, Report &report)
 {
-    const auto capacity = ctx.suite(capacitySweepOptions({}));
-    const auto runs = ctx.suite(replacementOptions());
+    const auto &capacity = cells[0];
+    const auto &runs = cells[1];
     const auto &families = capacityFamilies();
     const auto &points = capacitySweepPoints();
     const auto &policies = replacementPolicies();
-    auto &report = ctx.report();
 
     // Suite-mean accuracy of family f at budget p under policy pol
     // (an index into replacementPolicies(), LRU first).
     const auto accuracy = [&](size_t f, size_t p, size_t pol) {
         if (pol == 0)
-            return meanAccuracyPct(capacity,
-                                   CapacitySweep::specIndex(f, p));
+            return meanAccuracyPct(capacity, capacitySpecIndex(f, p));
         const size_t victims = policies.size() - 1;
         return meanAccuracyPct(
                 runs, (f * points.size() + p) * victims + pol - 1);
@@ -501,7 +473,7 @@ runReplacement(ExperimentContext &ctx)
         table.rule();
 
         const double unbounded = meanAccuracyPct(
-                capacity, CapacitySweep::unboundedIndex(f));
+                capacity, capacityUnboundedIndex(f));
         for (size_t p = 0; p < points.size(); ++p) {
             auto &row = table.row().cell(
                     static_cast<uint64_t>(points[p]));
@@ -624,12 +596,11 @@ hybridSplitOptions()
 }
 
 void
-runHybridSplit(ExperimentContext &ctx)
+runHybridSplit(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(hybridSplitOptions());
+    const auto &runs = cells.front();
     const auto &splits = hybridSplits();
     const auto &budgets = hybridSplitBudgets();
-    auto &report = ctx.report();
 
     report.text("(cells: suite-mean accuracy %, paper averaging rule; "
                 "split = chooser:stride:fcm in\nsixteenths of one "
@@ -726,14 +697,13 @@ aliasingOptions()
 }
 
 void
-runAliasing(ExperimentContext &ctx)
+runAliasing(const GridRuns &cells, Report &report)
 {
-    const auto capacity = ctx.suite(capacitySweepOptions({}));
-    const auto runs = ctx.suite(aliasingOptions());
+    const auto &capacity = cells[0];
+    const auto &runs = cells[1];
     const auto &families = capacityFamilies();
     const auto &points = capacitySweepPoints();
     const auto &widths = aliasingTagWidths();
-    auto &report = ctx.report();
 
     report.text("(16-way LRU tables on the capacity-sweep grid; cells: "
                 "suite-mean accuracy %,\npaper averaging rule; %T "
@@ -762,7 +732,7 @@ runAliasing(ExperimentContext &ctx)
             auto &row = table.row().cell(
                     static_cast<uint64_t>(points[p]));
             const double full = meanAccuracyPct(
-                    capacity, CapacitySweep::specIndex(f, p));
+                    capacity, capacitySpecIndex(f, p));
             row.cell(full, 2);
             double narrowest = full;
             const size_t first = (f * points.size() + p) * widths.size();
@@ -777,9 +747,7 @@ runAliasing(ExperimentContext &ctx)
             }
         }
         auto &last = table.row().cell("unbounded");
-        last.cell(meanAccuracyPct(capacity,
-                                  CapacitySweep::unboundedIndex(f)),
-                  2);
+        last.cell(meanAccuracyPct(capacity, capacityUnboundedIndex(f)), 2);
         for (size_t w = 0; w <= widths.size(); ++w)
             last.cell("");
     }
@@ -885,7 +853,7 @@ registerStudies(ExperimentRegistry &registry)
         "bounded tables from 256 entries to the unbounded "
         "idealisation",
         [](const ExperimentConfig &) {
-            return std::vector<SuiteOptions>{capacitySweepOptions({})};
+            return std::vector<SuiteOptions>{capacitySweepOptions()};
         },
         runCapacity,
     });
@@ -897,7 +865,7 @@ registerStudies(ExperimentRegistry &registry)
         "grid",
         [](const ExperimentConfig &) {
             return std::vector<SuiteOptions>{
-                confidenceSweepOptions({})};
+                confidenceSweepOptions()};
         },
         runConfidence,
     });
@@ -908,7 +876,7 @@ registerStudies(ExperimentRegistry &registry)
         "where the victim policy matters vs where capacity "
         "dominates",
         [](const ExperimentConfig &) {
-            return std::vector<SuiteOptions>{capacitySweepOptions({}),
+            return std::vector<SuiteOptions>{capacitySweepOptions(),
                                              replacementOptions()};
         },
         runReplacement,
@@ -931,7 +899,7 @@ registerStudies(ExperimentRegistry &registry)
         "constructive vs destructive aliasing as hardware tag "
         "widths shrink",
         [](const ExperimentConfig &) {
-            return std::vector<SuiteOptions>{capacitySweepOptions({}),
+            return std::vector<SuiteOptions>{capacitySweepOptions(),
                                              aliasingOptions()};
         },
         runAliasing,

@@ -30,10 +30,9 @@ countingOptions()
 // ---------------------------------------------------------------------
 
 void
-runTable2(ExperimentContext &ctx)
+runTable2(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(countingOptions());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     report.text("Table 3: Instruction Categories");
     report.text("");
@@ -81,10 +80,9 @@ runTable2(ExperimentContext &ctx)
 // ---------------------------------------------------------------------
 
 void
-runTable4(ExperimentContext &ctx)
+runTable4(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(countingOptions());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     auto &table = report.table("static_counts");
     table.row().cell("Type");
@@ -126,10 +124,9 @@ runTable4(ExperimentContext &ctx)
 // ---------------------------------------------------------------------
 
 void
-runTable5(ExperimentContext &ctx)
+runTable5(const GridRuns &cells, Report &report)
 {
-    const auto runs = ctx.suite(countingOptions());
-    auto &report = ctx.report();
+    const auto &runs = cells.front();
 
     report.text("each cell: measured (paper)");
     report.text("");
@@ -197,17 +194,16 @@ table6Options(const std::string &input)
 }
 
 void
-runTable6(ExperimentContext &ctx)
+runTable6(const GridRuns &cells, Report &report)
 {
-    auto &report = ctx.report();
     auto &table = report.table("input_sensitivity");
     table.row().cell("file").cell("predictions (k)")
          .cell("correct %").cell("| paper %").rule();
 
     std::vector<double> accuracies;
-    for (const auto &input : table6Inputs()) {
-        const auto runs = ctx.suite(table6Options(input));
-        const auto &run = runs.front();
+    for (size_t i = 0; i < table6Inputs().size(); ++i) {
+        const auto &input = table6Inputs()[i];
+        const auto &run = cells[i].front();
         accuracies.push_back(run.accuracyPct(0));
         table.row().cell(input);
         table.cell(static_cast<uint64_t>(run.exec.predicted / 1000));
@@ -248,18 +244,17 @@ table7Options(const std::string &flags)
 }
 
 void
-runTable7(ExperimentContext &ctx)
+runTable7(const GridRuns &cells, Report &report)
 {
-    auto &report = ctx.report();
     auto &table = report.table("flag_sensitivity");
     table.row().cell("flags").cell("predictions (k)")
          .cell("correct %").cell("| paper %").rule();
 
     std::vector<double> accuracies;
     std::vector<uint64_t> counts;
-    for (const auto &flags : table7FlagSets()) {
-        const auto runs = ctx.suite(table7Options(flags));
-        const auto &run = runs.front();
+    for (size_t i = 0; i < table7FlagSets().size(); ++i) {
+        const auto &flags = table7FlagSets()[i];
+        const auto &run = cells[i].front();
         accuracies.push_back(run.accuracyPct(0));
         counts.push_back(run.exec.predicted);
         table.row().cell(flags);

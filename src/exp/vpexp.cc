@@ -27,6 +27,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/** The most worker threads `--jobs` may ask for; the scheduler starts
+ *  them all at once, so a larger value is rejected as a usage error. */
+constexpr int maxJobs = 256;
+
 const char *const usageText =
         "usage: vpexp [--list] [--all] [experiment ...]\n"
         "             [--dry-run] [--jobs N] [--out DIR]\n"
@@ -38,7 +42,8 @@ const char *const usageText =
         "  --spec-help    print the predictor spec grammar and exit\n"
         "  --all          run every registered experiment\n"
         "  --dry-run      shrink workloads to smoke scale\n"
-        "  --jobs N       cell worker threads (default: hardware)\n"
+        "  --jobs N       cell worker threads, at most 256\n"
+        "                 (default: hardware)\n"
         "  --window N     sample per-predictor coverage/accuracy every\n"
         "                 N events into each cell's windows series\n"
         "                 (JSON + windows.csv)\n"
@@ -125,7 +130,8 @@ parseArgs(int argc, const char *const *argv)
             try {
                 size_t consumed = 0;
                 const int jobs = std::stoi(value, &consumed);
-                if (jobs < 0 || consumed != value.size())
+                if (jobs < 0 || jobs > maxJobs ||
+                    consumed != value.size())
                     throw std::invalid_argument(value);
                 options.jobs = static_cast<unsigned>(jobs);
             } catch (const std::exception &) {
@@ -220,17 +226,6 @@ listExperiments(const ExperimentRegistry &registry)
                 table.render().c_str(), registry.size());
     return 0;
 }
-
-/** Everything the writers need about one finished experiment. */
-struct ExperimentOutcome
-{
-    const Experiment *experiment = nullptr;
-    Report report;
-    std::vector<size_t> cells;
-    double wallMs = 0.0;
-    bool ok = true;
-    std::string error;
-};
 
 /**
  * One cell's counter snapshot as a JSON object: counters and gauges
@@ -619,41 +614,20 @@ vpexpMain(int argc, const char *const *argv)
     ProgressMeter meter(scheduler, options.progress);
 
     // Queue every declared cell of every selected experiment before
-    // the first hook blocks: the worker pool then crunches the whole
-    // multi-experiment grid at once (deduplicated across experiments).
-    for (const auto *experiment : selected) {
-        if (experiment->grid) {
-            for (const auto &suite : experiment->grid(config))
-                scheduler.prefetch(suite);
-        }
-    }
+    // the first grid is resolved: the worker pool then crunches the
+    // whole multi-experiment grid at once (deduplicated across
+    // experiments).
+    for (const auto *experiment : selected)
+        prefetchGrid(*experiment, scheduler);
 
     const bool print_tables = formats.count("table") != 0;
     bool failed = false;
     std::vector<ExperimentOutcome> outcomes;
     outcomes.reserve(selected.size());
     for (const auto *experiment : selected) {
-        ExperimentOutcome outcome;
-        outcome.experiment = experiment;
-        ExperimentContext ctx(config, scheduler);
-        const auto start = Clock::now();
-        try {
-            auto span = obs::TraceLog::span(config.traceLog,
-                                            "report " + experiment->name,
-                                            "report");
-            experiment->run(ctx);
-        } catch (const std::exception &e) {
-            outcome.ok = false;
-            outcome.error = e.what();
-            failed = true;
-        }
-        outcome.wallMs = std::chrono::duration<double, std::milli>(
-                                 Clock::now() - start)
-                                 .count();
-        outcome.report = std::move(ctx.report());
-        outcome.cells = ctx.cellsUsed();
-
+        ExperimentOutcome outcome = runExperiment(*experiment, scheduler);
         if (!outcome.ok) {
+            failed = true;
             meter.clear();
             std::fprintf(stderr, "vpexp: experiment %s failed: %s\n",
                          experiment->name.c_str(),

@@ -27,6 +27,7 @@
 #include "core/last_value.hh"
 #include "core/stride.hh"
 #include "exp/capacity.hh"
+#include "exp/experiment.hh"
 #include "exp/suite.hh"
 #include "sim/driver.hh"
 #include "vm/machine.hh"
@@ -534,21 +535,22 @@ TEST(BoundedEquivalence, FcmVptAliasCountersStayConsistent)
 /** The vpexp-capacity acceptance bar, asserted rather than printed. */
 TEST(CapacitySweep, LargestBudgetConvergesToUnbounded)
 {
-    exp::SuiteOptions options;
+    exp::SuiteOptions options = exp::capacitySweepOptions();
     options.config.scale = 5;
-    const auto sweep = exp::runCapacitySweep(options);
+    exp::CellScheduler scheduler(exp::ExperimentConfig{});
+    const auto runs = scheduler.suite(options);
     const auto &families = exp::capacityFamilies();
     const size_t largest = exp::capacitySweepPoints().size() - 1;
 
-    ASSERT_EQ(sweep.runs.size(), workloads::allWorkloads().size());
-    for (const auto &run : sweep.runs) {
+    ASSERT_EQ(runs.size(), workloads::allWorkloads().size());
+    for (const auto &run : runs) {
         SCOPED_TRACE(run.name);
         for (size_t f = 0; f < families.size(); ++f) {
             SCOPED_TRACE(families[f]);
-            const double bounded = run.accuracyPct(
-                    exp::CapacitySweep::specIndex(f, largest));
-            const double unbounded = run.accuracyPct(
-                    exp::CapacitySweep::unboundedIndex(f));
+            const double bounded =
+                    run.accuracyPct(exp::capacitySpecIndex(f, largest));
+            const double unbounded =
+                    run.accuracyPct(exp::capacityUnboundedIndex(f));
             EXPECT_NEAR(bounded, unbounded, 0.1);
         }
     }

@@ -21,6 +21,7 @@
 #include "core/confidence.hh"
 #include "core/last_value.hh"
 #include "exp/confidence.hh"
+#include "exp/experiment.hh"
 #include "exp/suite.hh"
 #include "sim/driver.hh"
 #include "vm/machine.hh"
@@ -275,14 +276,16 @@ TEST(ConfidenceSpecs, GatedStarvedBoundedTablesNeverCrash)
 
 // --------------------------- sweep acceptance (vpexp confidence)
 
-/** The sweep over all seven workloads at smoke scale, run once. */
-const exp::ConfidenceSweep &
-sweep()
+/** The sweep's runs over all seven workloads at smoke scale, run
+ *  once. */
+const std::vector<exp::BenchmarkRun> &
+sweepRuns()
 {
-    static const exp::ConfidenceSweep cached = [] {
-        exp::SuiteOptions options;
+    static const std::vector<exp::BenchmarkRun> cached = [] {
+        exp::SuiteOptions options = exp::confidenceSweepOptions();
         options.config.scale = 5;
-        return exp::runConfidenceSweep(options);
+        exp::CellScheduler scheduler(exp::ExperimentConfig{});
+        return scheduler.suite(options);
     }();
     return cached;
 }
@@ -292,7 +295,7 @@ TEST(ConfidenceSweep, TradeOffIsMonotoneOnEveryWorkload)
     const auto &families = exp::confidenceFamilies();
     const auto &points = exp::confidenceSweepPoints();
 
-    for (const auto &run : sweep().runs) {
+    for (const auto &run : sweepRuns()) {
         SCOPED_TRACE(run.name);
         for (size_t f = 0; f < families.size(); ++f) {
             SCOPED_TRACE(families[f]);
@@ -303,19 +306,15 @@ TEST(ConfidenceSweep, TradeOffIsMonotoneOnEveryWorkload)
                 const bool first_of_width =
                         points[p].threshold == 1;
                 const auto &tight =
-                        run.predictors
-                                .at(exp::ConfidenceSweep::specIndex(f, p))
+                        run.predictors.at(exp::confidenceSpecIndex(f, p))
                                 .second;
                 const auto &loose =
-                        first_of_width
-                                ? run.predictors
-                                          .at(exp::ConfidenceSweep::
-                                                      ungatedIndex(f))
-                                          .second
-                                : run.predictors
-                                          .at(exp::ConfidenceSweep::
-                                                      specIndex(f, p - 1))
-                                          .second;
+                        run.predictors
+                                .at(first_of_width
+                                            ? exp::confidenceUngatedIndex(f)
+                                            : exp::confidenceSpecIndex(
+                                                      f, p - 1))
+                                .second;
                 SCOPED_TRACE("c" + std::to_string(points[p].width) +
                              "t" + std::to_string(points[p].threshold));
 
@@ -361,16 +360,13 @@ TEST(ConfidenceSweep, GatingFcm3BeatsUngatedOnProfitAtCostOneAndUp)
         SCOPED_TRACE(cost);
         ASSERT_GE(cost, 1.0);
         const double ungated = exp::meanProfit(
-                sweep().runs, exp::ConfidenceSweep::ungatedIndex(fcm3),
-                cost);
+                sweepRuns(), exp::confidenceUngatedIndex(fcm3), cost);
         double best = ungated;
         for (size_t p = 0; p < points.size(); ++p) {
             best = std::max(best,
-                            exp::meanProfit(
-                                    sweep().runs,
-                                    exp::ConfidenceSweep::specIndex(fcm3,
-                                                                    p),
-                                    cost));
+                            exp::meanProfit(sweepRuns(),
+                                            exp::confidenceSpecIndex(fcm3, p),
+                                            cost));
         }
         EXPECT_GT(best, ungated);
     }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the experiment registry (exp/experiment.hh): the
- * unique-name invariant, the presence of every legacy experiment, and
- * the guarantee that every registered experiment completes under
- * --dry-run with an honest grid declaration and a non-empty report.
+ * unique-name invariant, the presence of every legacy experiment, the
+ * guarantee that every registered experiment completes under
+ * --dry-run with a non-empty report, and runExperiment's failure
+ * isolation.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "exp/experiment.hh"
 #include "exp/report.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -67,9 +69,9 @@ TEST(Registry, RejectsDuplicateNames)
 {
     ExperimentRegistry local;
     local.add(Experiment{"one", "t", "d", nullptr,
-                         [](ExperimentContext &) {}});
+                         [](const GridRuns &, Report &) {}});
     EXPECT_THROW(local.add(Experiment{"one", "t2", "d2", nullptr,
-                                      [](ExperimentContext &) {}}),
+                                      [](const GridRuns &, Report &) {}}),
                  std::invalid_argument);
 }
 
@@ -77,7 +79,7 @@ TEST(Registry, RejectsEmptyNameAndMissingHook)
 {
     ExperimentRegistry local;
     EXPECT_THROW(local.add(Experiment{"", "t", "d", nullptr,
-                                      [](ExperimentContext &) {}}),
+                                      [](const GridRuns &, Report &) {}}),
                  std::invalid_argument);
     EXPECT_THROW(local.add(Experiment{"named", "t", "d", nullptr,
                                       nullptr}),
@@ -86,10 +88,10 @@ TEST(Registry, RejectsEmptyNameAndMissingHook)
 
 /**
  * The registry-wide smoke pin: every experiment dry-runs to a
- * non-empty report, and its declarative grid is honest — after
- * prefetching the grid, running the hook must not create any unique
- * cell the grid did not declare (the property the driver's
- * prefetch-then-run scheduling relies on for full cell parallelism).
+ * non-empty report. Its grid is honest by construction — the hook
+ * reads only the runs of its grid, and vplint's experiment-cells rule
+ * keeps the experiment files away from the scheduler and the suite
+ * runners.
  *
  * One scheduler is shared across all experiments, exactly like a
  * `vpexp --all --dry-run` invocation, so the test also exercises
@@ -102,19 +104,11 @@ TEST(Registry, EveryExperimentDryRunsWithAnHonestGrid)
     CellScheduler scheduler(config, 0);
 
     for (const auto &experiment : registry().all()) {
-        if (experiment.grid) {
-            for (const auto &suite : experiment.grid(config))
-                scheduler.prefetch(suite);
-        }
-        const size_t declared = scheduler.uniqueCells();
-
-        ExperimentContext ctx(config, scheduler);
-        ASSERT_NO_THROW(experiment.run(ctx)) << experiment.name;
-        EXPECT_FALSE(ctx.report().empty()) << experiment.name;
-
-        EXPECT_EQ(scheduler.uniqueCells(), declared)
-                << experiment.name
-                << " ran cells its grid did not declare";
+        prefetchGrid(experiment, scheduler);
+        const ExperimentOutcome outcome =
+                runExperiment(experiment, scheduler);
+        ASSERT_TRUE(outcome.ok) << experiment.name << ": " << outcome.error;
+        EXPECT_FALSE(outcome.report.empty()) << experiment.name;
     }
 
     // The registry-wide run must actually share work: far fewer
@@ -123,21 +117,56 @@ TEST(Registry, EveryExperimentDryRunsWithAnHonestGrid)
     EXPECT_LT(scheduler.uniqueCells(), scheduler.requestedCells() / 2);
 }
 
-/** Prefetch @p names' grids, then run their hooks in order on
- *  @p scheduler; returns each rendered report. */
-std::vector<std::string>
-runOn(CellScheduler &scheduler, const ExperimentConfig &config,
-      const std::vector<std::string> &names)
+/**
+ * One failing experiment does not stop the others: a grid naming an
+ * unknown workload fails its own outcome with the lookup's error, and
+ * a good experiment run next on the same scheduler still reports.
+ */
+TEST(Registry, AFailingExperimentDoesNotStopTheNext)
 {
-    for (const auto &name : names) {
-        for (const auto &suite : registry().find(name)->grid(config))
-            scheduler.prefetch(suite);
-    }
+    ExperimentConfig config;
+    config.dryRun = true;
+    CellScheduler scheduler(config, 0);
+
+    bool hook_ran = false;
+    const Experiment broken{
+        "broken", "t", "d",
+        [](const ExperimentConfig &) {
+            SuiteOptions options;
+            options.predictors = {"l"};
+            options.benchmarks = {"no-such-workload"};
+            return std::vector<SuiteOptions>{options};
+        },
+        [&hook_ran](const GridRuns &, Report &) { hook_ran = true; },
+    };
+    const ExperimentOutcome failed = runExperiment(broken, scheduler);
+    EXPECT_FALSE(failed.ok);
+    EXPECT_NE(failed.error.find("unknown workload: no-such-workload"),
+              std::string::npos)
+            << failed.error;
+    EXPECT_FALSE(hook_ran);
+    EXPECT_TRUE(failed.cells.empty());
+
+    const ExperimentOutcome good =
+            runExperiment(*registry().find("table2"), scheduler);
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_FALSE(good.report.empty());
+    EXPECT_EQ(good.cells.size(), workloads::allWorkloads().size());
+}
+
+/** Prefetch @p names' grids, then run them in order on @p scheduler;
+ *  returns each rendered report. */
+std::vector<std::string>
+runOn(CellScheduler &scheduler, const std::vector<std::string> &names)
+{
+    for (const auto &name : names)
+        prefetchGrid(*registry().find(name), scheduler);
     std::vector<std::string> reports;
     for (const auto &name : names) {
-        ExperimentContext ctx(config, scheduler);
-        registry().find(name)->run(ctx);
-        reports.push_back(report_writer::renderText(ctx.report()));
+        const ExperimentOutcome outcome =
+                runExperiment(*registry().find(name), scheduler);
+        EXPECT_TRUE(outcome.ok) << name << ": " << outcome.error;
+        reports.push_back(report_writer::renderText(outcome.report));
     }
     return reports;
 }
@@ -156,7 +185,7 @@ TEST(Registry, CapacityGridSweepsReplayEachPredictorOnce)
     const std::vector<std::string> names = {"capacity", "replacement",
                                             "aliasing"};
     CellScheduler shared(config, 0);
-    const auto reports = runOn(shared, config, names);
+    const auto reports = runOn(shared, names);
 
     std::set<std::tuple<std::string, int, std::string>> replayed;
     for (const auto &record : shared.records()) {
@@ -174,7 +203,7 @@ TEST(Registry, CapacityGridSweepsReplayEachPredictorOnce)
 
     for (size_t i = 0; i < names.size(); ++i) {
         CellScheduler alone(config, 0);
-        EXPECT_EQ(runOn(alone, config, {names[i]}).front(), reports[i])
+        EXPECT_EQ(runOn(alone, {names[i]}).front(), reports[i])
                 << names[i];
     }
 }

@@ -127,6 +127,10 @@ TEST(VpexpCli, UsageErrorsExitTwo)
     EXPECT_EQ(runDriver({"table1", "--jobs", "banana"}), 2);
     EXPECT_EQ(runDriver({"table1", "--jobs", "1O"}), 2);   // trailing junk
     EXPECT_EQ(runDriver({"table1", "--jobs", "-2"}), 2);
+    // Above the ceiling: rejected while parsing, before any worker
+    // thread exists.
+    EXPECT_EQ(runDriver({"table1", "--jobs", "257"}), 2);
+    EXPECT_EQ(runDriver({"table1", "--jobs", "2000000000"}), 2);
     EXPECT_EQ(runDriver({"table1", "--bogus-flag"}), 2);
     EXPECT_EQ(runDriver({"--jobs"}), 2);               // missing value
     EXPECT_EQ(runDriver({"table1", "--window", "never"}), 2);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Golden pins for the experiment registry: every legacy experiment
- * must produce numerically identical results through the new vpexp
+ * Golden pins for the experiment registry: every paper experiment
+ * must produce numerically identical results through the vpexp
  * path, and one small experiment's CSV is pinned byte-for-byte.
  *
  * Regenerating the CSV golden after an intentional change:
@@ -49,22 +49,23 @@ slurp(const std::string &path)
     return out.str();
 }
 
-/** Run one registered experiment on a fresh dry-run scheduler. */
+/** Run one registered experiment on a fresh scheduler. */
 Report
-runExperiment(const std::string &name, const ExperimentConfig &config)
+reportOf(const std::string &name, const ExperimentConfig &config)
 {
     const Experiment *experiment = registry().find(name);
     if (experiment == nullptr)
         throw std::runtime_error("no experiment " + name);
     CellScheduler scheduler(config);
-    ExperimentContext ctx(config, scheduler);
-    experiment->run(ctx);
-    return std::move(ctx.report());
+    ExperimentOutcome outcome = runExperiment(*experiment, scheduler);
+    if (!outcome.ok)
+        throw std::runtime_error(name + ": " + outcome.error);
+    return std::move(outcome.report);
 }
 
 TEST(VpexpGolden, Table1CsvMatchesGoldenFile)
 {
-    const Report report = runExperiment("table1", {});
+    const Report report = reportOf("table1", {});
     ASSERT_EQ(report.tables().size(), 1u);
     const auto &table = report.tables().front();
     EXPECT_EQ(table.id(), "learning");
@@ -88,10 +89,9 @@ fmt1(double value)
 }
 
 /**
- * The numbers-identical pin: figure3 through the registry equals the
- * legacy computation path — a direct exp::runSuite over the same
- * predictors with live VM execution, exactly what
- * bench/exp_figure3.cc did before the refactor. One representative
+ * The numbers-identical pin: figure3 through the registry equals a
+ * direct serial exp::runSuite over the same predictors with live VM
+ * execution (no trace replay, no cell scheduler). One representative
  * per shape; every other suite experiment shares runBenchmark with
  * this path by construction (and the registry smoke test runs them
  * all).
@@ -100,7 +100,7 @@ TEST(VpexpGolden, Figure3MatchesLegacyRunSuitePath)
 {
     ExperimentConfig config;
     config.dryRun = true;
-    const Report report = runExperiment("figure3", config);
+    const Report report = reportOf("figure3", config);
     ASSERT_EQ(report.tables().size(), 1u);
     const auto &table = report.tables().front();
 
@@ -202,7 +202,7 @@ TEST(VpexpGolden, Table2MatchesLegacyRunSuitePath)
 {
     ExperimentConfig config;
     config.dryRun = true;
-    const Report report = runExperiment("table2", config);
+    const Report report = reportOf("table2", config);
     ASSERT_EQ(report.tables().size(), 2u);
     const auto &table = report.tables()[1];   // characteristics
     EXPECT_EQ(table.id(), "characteristics");

@@ -262,6 +262,16 @@ class BenchdiffTest(unittest.TestCase):
                 a, doc(cell("gcc", 80.0, 30)))["ok"])
         self.assertFalse(benchdiff.compare_results(
                 doc(cell("gcc", 80.0, 30)), a)["ok"])
+        # Two cells of one trace and bank (they differ only in their
+        # trackers) pair up in id order, so a run matches itself.
+        twins = doc(cell("gcc", 100.0, 50), cell("gcc", 60.0, 50,
+                                                  correct=(4, 7)))
+        comparison = benchdiff.compare_results(twins, twins)
+        self.assertTrue(comparison["ok"])
+        self.assertEqual([row["ratio"] for row in comparison["cells"]],
+                         [1.0, 1.0])
+        self.assertFalse(benchdiff.compare_results(
+                twins, doc(cell("gcc", 100.0, 50)))["ok"])
 
         with tempfile.TemporaryDirectory() as tmp:
             paths = [os.path.join(tmp, name) for name in ("a", "b", "c")]
